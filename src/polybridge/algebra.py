@@ -1,16 +1,25 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
-Representation. A polynomial maps monomials to nonzero Fraction
-coefficients, where a monomial is an exponent tuple aligned with the
-polynomial's symbol table (symbol names sorted lexicographically by code
-point). Monomials compare under pure lexicographic order on exponent
-vectors; term dicts are stored in descending monomial order so iteration
-and emission are deterministic.
+Representation. A polynomial maps monomials to nonzero int coefficients,
+where a monomial is an exponent tuple aligned with the polynomial's symbol
+table (symbol names sorted lexicographically by code point). Monomials
+compare under pure lexicographic order on exponent vectors; term dicts are
+stored in descending monomial order so iteration and emission are
+deterministic. Rational literals arrive as an integer numerator and
+denominator and rational content folds into the numerator/denominator
+pair, so no polynomial coefficient needs to be a fraction. Products use a
+packed-exponent kernel (Monagan & Pearce, CASC 2007): each monomial is
+packed into one int so that multiplying monomials is one int addition.
+
+`Fraction` remains only where a value can be non-integral: point
+evaluation (`eval_at`), `RatFunc.constant_value`, the integer test on
+exponents, and the univariate Euclid inside `simplify`, whose Fraction
+results `make_ratfunc` clears back to int.
 
 Canonical rational functions additionally guarantee: the symbol table is
 trimmed to symbols that actually occur, any monomial dividing every term
 of both numerator and denominator is cancelled, all coefficients are
-integers with unit content across the pair, and the denominator's leading
+ints with unit content across the pair, and the denominator's leading
 coefficient is positive. Full multivariate GCD reduction is deliberately
 not performed; semantic equality is decided by cross-multiplication
 (`ratfunc_equal`).
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Union
 
@@ -71,18 +81,21 @@ class DivisionByZeroAtPoint(AlgebraError):
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with int coefficients.
 
     `terms` holds no zero coefficients and iterates in descending monomial
     order. All arithmetic assumes both operands share the same symbol
-    table; use `merge_tables`/`remap` to align values first.
+    table; use `merge_tables`/`remap` to align values first. Products
+    multiply packed monomials (see `__mul__`). The only Fraction
+    coefficients are the transient ones `simplify` hands to
+    `make_ratfunc`, which clears them back to int.
     """
 
     symbols: SymbolTable
-    terms: dict[Monomial, Fraction]
+    terms: dict[Monomial, int]
 
     @staticmethod
-    def make(symbols: SymbolTable, raw: Mapping[Monomial, Fraction]) -> MultiPoly:
+    def make(symbols: SymbolTable, raw: Mapping[Monomial, int]) -> MultiPoly:
         items = [(m, c) for m, c in raw.items() if c != 0]
         items.sort(reverse=True)
         return MultiPoly(symbols, dict(items))
@@ -92,8 +105,7 @@ class MultiPoly:
         return cls(symbols, {})
 
     @classmethod
-    def const(cls, symbols: SymbolTable, value: Fraction | int) -> MultiPoly:
-        value = Fraction(value)
+    def const(cls, symbols: SymbolTable, value: int) -> MultiPoly:
         if value == 0:
             return cls(symbols, {})
         return cls(symbols, {(0,) * len(symbols): value})
@@ -102,7 +114,7 @@ class MultiPoly:
     def variable(cls, symbols: SymbolTable, name: str) -> MultiPoly:
         exps = [0] * len(symbols)
         exps[symbols.index(name)] = 1
-        return cls(symbols, {tuple(exps): Fraction(1)})
+        return cls(symbols, {tuple(exps): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -110,10 +122,10 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in mono) for mono in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.symbols), Fraction(0))
+    def constant_value(self) -> int:
+        return self.terms.get((0,) * len(self.symbols), 0)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int]:
         return next(iter(self.terms.items()))
 
     def degree_in(self, name: str) -> int:
@@ -134,11 +146,7 @@ class MultiPoly:
         assert self.symbols == other.symbols
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + c
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + c
         return MultiPoly.make(self.symbols, out)
 
     def __neg__(self) -> MultiPoly:
@@ -148,21 +156,63 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: MultiPoly) -> MultiPoly:
+        """Product by the packed-exponent kernel.
+
+        Each monomial packs into one int with the first symbol in the most
+        significant field, so adding packed ints multiplies monomials and
+        int order is lex order. Fields are as wide as the bit length of
+        (largest exponent in `self`) + (largest exponent in `other`), which
+        bounds every exponent of the product, so no field carries into its
+        neighbour.
+        """
         assert self.symbols == other.symbols
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return MultiPoly.make(self.symbols, out)
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        if len(small.terms) <= 1:
+            return big._times_term(small)
+        bits = (max(map(max, self.terms)) + max(map(max, other.terms))).bit_length()
+        # The long operand is packed once and walked by the inner loop, so
+        # per-row overhead is paid len(small) times.
+        packed_big = [(_pack(m, bits), c) for m, c in big.terms.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for m, ca in small.terms.items():
+            ka = _pack(m, bits)
+            for kb, cb in packed_big:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        mask = (1 << bits) - 1
+        shifts = range(bits * (len(self.symbols) - 1), -1, -bits)
+        terms = {}
+        for k in sorted(acc, reverse=True):
+            c = acc[k]
+            if c:
+                terms[tuple([k >> s & mask for s in shifts])] = c
+        return MultiPoly(self.symbols, terms)
+
+    def _times_term(self, p: MultiPoly) -> MultiPoly:
+        """Product with a polynomial of at most one term.
+
+        Multiplying every monomial by the same monomial keeps lex order,
+        so the terms need no re-sort.
+        """
+        if not p.terms:
+            return MultiPoly(self.symbols, {})
+        ((shift, factor),) = p.terms.items()
+        if any(shift):
+            return MultiPoly(
+                self.symbols,
+                {tuple([a + b for a, b in zip(m, shift)]): c * factor for m, c in self.terms.items()},
+            )
+        if factor == 1:
+            return self
+        return MultiPoly(self.symbols, {m: c * factor for m, c in self.terms.items()})
 
     def pow_int(self, k: int) -> MultiPoly:
         if k < 0:
             raise ValueError("negative exponent on a polynomial")
+        if len(self.terms) == 1:
+            ((mono, c),) = self.terms.items()
+            return MultiPoly(self.symbols, {tuple([e * k for e in mono]): c**k})
         result = MultiPoly.const(self.symbols, 1)
         base = self
         while k:
@@ -187,6 +237,13 @@ class MultiPoly:
         return total
 
 
+def _pack(mono: Monomial, bits: int) -> int:
+    key = 0
+    for e in mono:
+        key = key << bits | e
+    return key
+
+
 def merge_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
     return tuple(sorted(set(a) | set(b)))
 
@@ -197,7 +254,7 @@ def remap(p: MultiPoly, symbols: SymbolTable) -> MultiPoly:
         return p
     positions = [symbols.index(name) for name in p.symbols]
     width = len(symbols)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for mono, c in p.terms.items():
         exps = [0] * width
         for pos, e in zip(positions, mono):
@@ -220,37 +277,52 @@ class RatFunc:
         return self.numerator.is_constant() and self.denominator.is_constant()
 
     def constant_value(self) -> Fraction:
-        return self.numerator.constant_value() / self.denominator.constant_value()
+        return Fraction(self.numerator.constant_value(), self.denominator.constant_value())
 
 
-RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): Fraction(1)}))
-RATFUNC_ONE = RatFunc(MultiPoly((), {(): Fraction(1)}), MultiPoly((), {(): Fraction(1)}))
+RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): 1}))
+RATFUNC_ONE = RatFunc(MultiPoly((), {(): 1}), MultiPoly((), {(): 1}))
 
 
 def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> RatFunc:
-    """Canonicalize a numerator/denominator pair into a RatFunc."""
+    """Canonicalize a numerator/denominator pair into a RatFunc.
+
+    Coefficients may be Fractions (the univariate Euclid in `simplify`
+    produces them); the result's coefficients are always ints.
+    """
     if den.is_zero():
         raise ZeroDenominator("denominator is identically zero", span)
     if num.is_zero():
         return RATFUNC_ZERO
     num, den = _cancel_common_monomial(num, den)
     num, den = _trim_pair(num, den)
+    num, den = _clear_denominators(num, den)
 
-    scale = Fraction(
-        lcm(*(c.denominator for c in num.terms.values()),
-            *(c.denominator for c in den.terms.values()))
-    )
-    content = gcd(
-        *(int(c * scale) for c in num.terms.values()),
-        *(int(c * scale) for c in den.terms.values()),
-    )
-    scale /= content
-    if den.terms[max(den.terms)] * scale < 0:
-        scale = -scale
-    if scale != 1:
-        num = MultiPoly(num.symbols, {m: c * scale for m, c in num.terms.items()})
-        den = MultiPoly(den.symbols, {m: c * scale for m, c in den.terms.items()})
+    content = 0
+    for c in chain(num.terms.values(), den.terms.values()):
+        content = gcd(content, c)
+        if content == 1:
+            break
+    if den.leading()[1] < 0:
+        content = -content
+    if content != 1:
+        num = MultiPoly(num.symbols, {m: c // content for m, c in num.terms.items()})
+        den = MultiPoly(den.symbols, {m: c // content for m, c in den.terms.items()})
     return RatFunc(num, den)
+
+
+def _clear_denominators(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The pair scaled to int coefficients; returned as is if they already are."""
+    if all(type(c) is int for c in chain(num.terms.values(), den.terms.values())):
+        return num, den
+    scale = 1
+    for c in chain(num.terms.values(), den.terms.values()):
+        scale = lcm(scale, c.denominator)
+
+    def scaled(p: MultiPoly) -> MultiPoly:
+        return MultiPoly(p.symbols, {m: int(c * scale) for m, c in p.terms.items()})
+
+    return scaled(num), scaled(den)
 
 
 def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -271,24 +343,20 @@ def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 
 def _cancel_common_monomial(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    width = len(num.symbols)
-    if width == 0:
-        return num, den
-    mins = [None] * width
-    for p in (num, den):
-        for mono in p.terms:
-            if mins[0] is None:
-                mins = list(mono)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, mono)]
-    if not any(mins):
-        return num, den
+    # The denominator goes first: it is usually short and often the
+    # constant 1, which ends the scan at once.
+    mins = None
+    for mono in chain(den.terms, num.terms):
+        mins = mono if mins is None else tuple(map(min, mins, mono))
+        if not any(mins):
+            return num, den
 
     def shift(p: MultiPoly) -> MultiPoly:
+        # Dividing every term by one monomial keeps their order.
         out = {
-            tuple(e - g for e, g in zip(mono, mins)): c for mono, c in p.terms.items()
+            tuple([e - g for e, g in zip(mono, mins)]): c for mono, c in p.terms.items()
         }
-        return MultiPoly.make(p.symbols, out)
+        return MultiPoly(p.symbols, out)
 
     return shift(num), shift(den)
 
@@ -314,11 +382,22 @@ def _to_num_den(e: Expr, table: SymbolTable) -> tuple[MultiPoly, MultiPoly]:
     if isinstance(e, SymbolRef):
         return MultiPoly.variable(table, e.name), one
     if isinstance(e, Sum):
-        num, den = _to_num_den(e.terms[0], table)
-        for term in e.terms[1:]:
+        # While every denominator so far is 1, numerators add in place:
+        # cross-multiplying by 1 would cost a product and a re-sort per term.
+        acc: dict[Monomial, int] = {}
+        num = den = None
+        for term in e.terms:
             tn, td = _to_num_den(term, table)
+            if den is None:
+                if td.terms == one.terms:
+                    for m, c in tn.terms.items():
+                        acc[m] = acc.get(m, 0) + c
+                    continue
+                num, den = MultiPoly.make(table, acc), one
             num = num * td + tn * den
             den = den * td
+        if den is None:
+            return MultiPoly.make(table, acc), one
         return num, den
     if isinstance(e, Product):
         num, den = _to_num_den(e.factors[0], table)
@@ -359,8 +438,8 @@ def _to_num_den(e: Expr, table: SymbolTable) -> tuple[MultiPoly, MultiPoly]:
 def _integer_constant(num: MultiPoly, den: MultiPoly) -> int | None:
     if not (num.is_constant() and den.is_constant()):
         return None
-    value = num.constant_value() / den.constant_value()
-    return int(value) if value.denominator == 1 else None
+    value = Fraction(num.constant_value(), den.constant_value())
+    return value.numerator if value.denominator == 1 else None
 
 
 def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
@@ -394,7 +473,7 @@ def _var_coefficients(r: RatFunc, var: str) -> tuple[RatFunc, ...]:
     vi = num.symbols.index(var)
     reduced = tuple(s for s in num.symbols if s != var)
 
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
+    buckets: dict[int, dict[Monomial, int]] = {}
     for mono, c in num.terms.items():
         rest = mono[:vi] + mono[vi + 1 :]
         buckets.setdefault(mono[vi], {})[rest] = c
@@ -481,7 +560,7 @@ def _dense_univariate(p: MultiPoly, name: str) -> list[Fraction]:
     i = p.symbols.index(name)
     out = [Fraction(0)] * (p.degree_in(name) + 1)
     for mono, c in p.terms.items():
-        out[mono[i]] = c
+        out[mono[i]] = Fraction(c)
     return out
 
 

@@ -41,6 +41,7 @@ from .rename import (
     default_greek_map,
     inline_rename_spec,
     load_rename_file,
+    resolve_renames,
 )
 
 EXIT_OK = 0
@@ -86,9 +87,14 @@ def _line_column(text: str, byte_offset: int) -> tuple[int, int]:
 
 def _read_input(source: str) -> str:
     if source == "-":
-        return sys.stdin.read()
-    with open(source, encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    # A stdin that decodes with surrogateescape turns invalid bytes into
+    # lone surrogates instead of failing; strict encoding refuses them.
+    text.encode("utf-8")
+    return text
 
 
 def _strip_statement_terminator(text: str) -> str:
@@ -137,6 +143,9 @@ def run(options: CliOptions) -> int:
     except OSError as err:
         print(f"error: cannot read {options.input!r}: {err}", file=diag)
         return EXIT_USAGE
+    except UnicodeError:
+        print(f"error: cannot read {options.input!r}: not valid UTF-8", file=diag)
+        return EXIT_USAGE
 
     try:
         tree = timer.stage("parse", lambda: parse(text))
@@ -151,6 +160,8 @@ def run(options: CliOptions) -> int:
     except (RenameError, RenameCollision, OSError) as err:
         print(f"error: {err}", file=diag)
         return EXIT_USAGE
+    # The main variable is renamed by the same rules as the tree's symbols.
+    main_var = resolve_renames({options.main_var}, tuple(specs))[options.main_var]
 
     try:
         if options.format == FORMAT_EXPR:
@@ -168,7 +179,7 @@ def run(options: CliOptions) -> int:
                 )
         else:
             collected = timer.stage(
-                "collect", lambda: collect_main_var(renamed, options.main_var)
+                "collect", lambda: collect_main_var(renamed, main_var)
             )
             collected = timer.stage(
                 "simplify",

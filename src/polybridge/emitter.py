@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import MainVarPoly, Monomial, MultiPoly, RatFunc
 
@@ -50,7 +49,7 @@ def _monomial_text(symbols: tuple[str, ...], mono: Monomial) -> list[str]:
     return parts
 
 
-def _term_text(symbols: tuple[str, ...], mono: Monomial, coeff: Fraction) -> str:
+def _term_text(symbols: tuple[str, ...], mono: Monomial, coeff: int) -> str:
     magnitude = abs(coeff)
     parts = _monomial_text(symbols, mono)
     if magnitude != 1 or not parts:
@@ -108,7 +107,7 @@ def _is_divisor_atom(p: MultiPoly) -> bool:
         return False
     (mono, coeff), = p.terms.items()
     if not any(mono):
-        return coeff > 0 and coeff.denominator == 1
+        return coeff > 0
     return coeff == 1 and sum(1 for e in mono if e) == 1
 
 

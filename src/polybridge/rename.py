@@ -134,5 +134,9 @@ def parse_rename_file(text: str) -> RenameSpec:
 
 
 def load_rename_file(path: str) -> RenameSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_rename_file(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise RenameError(f"rename file {path!r} is not valid UTF-8") from None
+    return parse_rename_file(text)

@@ -25,6 +25,7 @@ from polybridge import (
 )
 from polybridge.algebra import (
     DivisionByZeroAtPoint,
+    MultiPoly,
     NotPolynomialInVar,
     SymbolicExponent,
     UnboundSymbol,
@@ -393,3 +394,114 @@ class TestCanonicalInvariants:
             r = rand_ratfunc(rng)
             again = normalize(parse(emit_expr(r)))
             assert again == r
+
+    def test_canonical_coefficients_are_ints(self):
+        rng = Random(103)
+        values = [rand_ratfunc(rng) for _ in range(200)]
+        values += [normalize(rand_expr_tree(rng, 3, ("a", "b", "x"))) for _ in range(50)]
+        values.append(simplify(normalize(parse("(t^2/3-1/3)/(t/2-1/2)")), 1))
+        for r in values:
+            for poly in (r.numerator, r.denominator):
+                assert all(type(c) is int for c in poly.terms.values())
+
+    def test_rational_constant_value_is_a_fraction(self):
+        value = normalize(parse("1/2")).constant_value()
+        assert type(value) is Fraction
+        assert value == Fraction(1, 2)
+
+
+def naive_product(a: dict, b: dict) -> dict:
+    """Reference product: tuple addition, then descending lex order."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in sorted(out.items(), reverse=True) if c}
+
+
+def rand_terms(rng: Random, width: int, n_terms: int, top: int) -> dict:
+    """Up to n_terms random terms plus one that sets the largest exponent to `top`."""
+    terms = {}
+    for _ in range(n_terms):
+        mono = tuple(rng.randint(0, top) for _ in range(width))
+        terms[mono] = rng.choice((-2, -1, 1, 2, 3))
+    if width:
+        mono = [rng.randint(0, top) for _ in range(width)]
+        mono[rng.randrange(width)] = top
+        terms[tuple(mono)] = rng.choice((-1, 1))
+    return terms
+
+
+def assert_same_terms(got: MultiPoly, want: dict):
+    # Order is part of the contract: terms iterate in descending lex order.
+    assert list(got.terms.items()) == list(want.items())
+    assert all(type(c) is int for c in got.terms.values())
+
+
+# Largest exponent sums at the edges of the packed field width: the
+# width is the bit length of the sum, so 2^k - 1 and 2^k differ by a bit.
+FIELD_EDGE_SUMS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 255, 256, 511, 512, 1023, 1024, 4097)
+
+
+class TestPackedProduct:
+    def test_matches_reference_at_field_width_edges(self):
+        rng = Random(107)
+        for total in FIELD_EDGE_SUMS:
+            for _ in range(12):
+                width = rng.randint(1, 4)
+                top_a = rng.randint(0, total)
+                symbols = tuple("abcd"[:width])
+                a = MultiPoly.make(symbols, rand_terms(rng, width, rng.randint(1, 6), top_a))
+                b = MultiPoly.make(symbols, rand_terms(rng, width, rng.randint(1, 6), total - top_a))
+                assert_same_terms(a * b, naive_product(a.terms, b.terms))
+                assert_same_terms(b * a, naive_product(a.terms, b.terms))
+
+    def test_single_term_operands(self):
+        rng = Random(109)
+        for _ in range(100):
+            width = rng.randint(0, 3)
+            symbols = tuple("abc"[:width])
+            a = MultiPoly.make(symbols, rand_terms(rng, width, rng.randint(1, 6), rng.randint(0, 300)))
+            b = MultiPoly.make(symbols, rand_terms(rng, width, 0, rng.randint(0, 300)) or {(): 5})
+            assert len(b.terms) == 1
+            assert_same_terms(a * b, naive_product(a.terms, b.terms))
+            assert_same_terms(b * a, naive_product(a.terms, b.terms))
+
+    def test_width_zero(self):
+        three, minus_two = MultiPoly.const((), 3), MultiPoly.const((), -2)
+        assert_same_terms(three * minus_two, {(): -6})
+        assert_same_terms(three.pow_int(4), {(): 81})
+        assert_same_terms(three.pow_int(0), {(): 1})
+        assert_same_terms(three * MultiPoly.zero(), {})
+
+    def test_cancellation(self):
+        symbols = ("x", "y")
+        for e in (1, 255, 256, 1500):
+            plus = MultiPoly.make(symbols, {(e, 0): 1, (0, e): 1})
+            minus = MultiPoly.make(symbols, {(e, 0): 1, (0, e): -1})
+            # The cross terms cancel: (x^e + y^e)(x^e - y^e) = x^2e - y^2e.
+            assert_same_terms(plus * minus, {(2 * e, 0): 1, (0, 2 * e): -1})
+            assert_same_terms(plus * MultiPoly.zero(symbols), {})
+            assert_same_terms(MultiPoly.zero(symbols) * plus, {})
+        rng = Random(113)
+        for _ in range(100):
+            width = rng.randint(1, 3)
+            symbols = tuple("abc"[:width])
+            a = MultiPoly.make(symbols, rand_terms(rng, width, 5, 2))
+            b = MultiPoly.make(symbols, rand_terms(rng, width, 5, 2))
+            assert_same_terms(a * b, naive_product(a.terms, b.terms))
+
+    def test_pow_int_matches_repeated_reference_product(self):
+        rng = Random(127)
+        for total in FIELD_EDGE_SUMS:
+            width = rng.randint(1, 3)
+            symbols = tuple("abc"[:width])
+            top = max(total // 4, 1)
+            bases = [MultiPoly.make(symbols, rand_terms(rng, width, n, top)) for n in (0, 3)]
+            for base in bases + [MultiPoly.zero(symbols)]:
+                for k in range(5):
+                    want = {(0,) * width: 1}
+                    for _ in range(k):
+                        want = naive_product(want, base.terms)
+                    assert_same_terms(base.pow_int(k), want)

@@ -1,9 +1,13 @@
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polybridge
 from polybridge import main
 from polybridge.cli import CliOptions, run
 
@@ -235,3 +239,75 @@ class TestRunApi:
         options = CliOptions(input=str(src), format="vector")
         assert run(options) == 0
         assert capsys.readouterr().out == "P=[beta, gamma];\n"
+
+
+def run_module(args, stdin: bytes) -> subprocess.CompletedProcess:
+    """Run `python -m polybridge` with this checkout's package on the path."""
+    env = dict(os.environ)
+    src = str(Path(polybridge.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "polybridge", *args],
+        input=stdin,
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+
+
+class TestInvalidUtf8:
+    def test_undecodable_stdin_exits_4(self, monkeypatch, capsys):
+        # A surrogateescape stdin hands undecodable bytes on as lone surrogates.
+        code, out, err = invoke(monkeypatch, capsys, [], stdin="x+\udcff")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_undecodable_stdin_process(self):
+        proc = run_module([], b"x+\xff")
+        assert proc.returncode == 4
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error:")
+        assert b"Traceback" not in proc.stderr
+
+    def test_undecodable_input_file_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "poly.txt"
+        src.write_bytes(b"x+\xff\n")
+        code = main([str(src)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "UTF-8" in captured.err
+
+    def test_undecodable_rename_file_exits_4(self, tmp_path, monkeypatch, capsys):
+        rules = tmp_path / "renames.txt"
+        rules.write_bytes(b"\xff=y\n")
+        code, out, err = invoke(monkeypatch, capsys, ["--rename-file", str(rules)], stdin="x")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+
+
+class TestMainVariableRenamed:
+    def test_greek_main_variable(self, monkeypatch, capsys):
+        code, out, _ = invoke(monkeypatch, capsys, ["--var", "β"], stdin="β^2+1")
+        assert code == 0
+        assert out == "P(1)=1;\nP(2)=0;\nP(3)=1;\n"
+
+    def test_inline_rename_of_main_variable(self, monkeypatch, capsys):
+        code, out, _ = invoke(monkeypatch, capsys, ["--rename", "x=z"], stdin="x^2")
+        assert code == 0
+        assert out == "P(1)=1;\nP(2)=0;\nP(3)=0;\n"
+
+    def test_renamed_main_variable_in_options_object(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("a*γ_b^2+γ_b"))
+        assert run(CliOptions(main_var="γ_b", format="vector")) == 0
+        assert capsys.readouterr().out == "P=[a, 1, 0];\n"
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_without_warnings(self):
+        proc = run_module(["--format", "vector"], "β*x+γ".encode("utf-8"))
+        assert proc.returncode == 0
+        assert proc.stdout.decode("utf-8") == "P=[beta, gamma];\n"
+        assert proc.stderr == b""
