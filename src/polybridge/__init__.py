@@ -6,128 +6,46 @@ the expression is collected as a polynomial in one main variable with
 exact rational-function coefficients, and the result is emitted as an
 explicit-operator coefficient script, coefficient vector, or plain
 expression that a numerical environment can consume directly.
+
+The package exports the documented operations, `EmitConfig` and the errors
+a caller catches; everything else lives in its submodule (`algebra`,
+`emitter`, `expr`, `parser`, `rename`), and the command line in `cli`.
 """
 
 from .algebra import (
     AlgebraError,
-    DivisionByZeroAtPoint,
-    MainVarPoly,
-    MultiPoly,
-    NotPolynomialInVar,
-    RatFunc,
-    RATFUNC_ONE,
-    RATFUNC_ZERO,
-    SymbolicExponent,
-    UnboundSymbol,
-    ZeroDenominator,
     coefficient_of,
     collect_main_var,
     degree_in,
     eval_at,
-    make_ratfunc,
-    merge_tables,
     normalize,
     ratfunc_equal,
-    remap,
     simplify,
 )
-from .cli import CliOptions, main, run
-from .emitter import (
-    EmitConfig,
-    FORMAT_EXPR,
-    FORMAT_SCRIPT,
-    FORMAT_VECTOR,
-    emit_coeff_script,
-    emit_coeff_vector,
-    emit_expr,
-)
-from .expr import (
-    Expr,
-    IntegerLit,
-    Power,
-    Product,
-    Quotient,
-    RationalLit,
-    RenameMap,
-    Sum,
-    SymbolRef,
-    make_product,
-    make_sum,
-    negate,
-    substitute,
-    symbols_of,
-)
-from .parser import SourceError, Token, parse, parse_identifier, tokenize
-from .rename import (
-    RenameCollision,
-    RenameError,
-    RenameSpec,
-    apply_renames,
-    default_greek_map,
-    inline_rename_spec,
-    load_rename_file,
-    parse_rename_file,
-)
+from .emitter import EmitConfig, emit_coeff_script, emit_coeff_vector, emit_expr
+from .expr import substitute
+from .parser import SourceError, parse
+from .rename import RenameCollision, RenameError, apply_renames
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraError",
-    "CliOptions",
-    "DivisionByZeroAtPoint",
     "EmitConfig",
-    "Expr",
-    "FORMAT_EXPR",
-    "FORMAT_SCRIPT",
-    "FORMAT_VECTOR",
-    "IntegerLit",
-    "MainVarPoly",
-    "MultiPoly",
-    "NotPolynomialInVar",
-    "Power",
-    "Product",
-    "Quotient",
-    "RATFUNC_ONE",
-    "RATFUNC_ZERO",
-    "RatFunc",
-    "RationalLit",
     "RenameCollision",
     "RenameError",
-    "RenameMap",
-    "RenameSpec",
     "SourceError",
-    "Sum",
-    "SymbolRef",
-    "SymbolicExponent",
-    "Token",
-    "UnboundSymbol",
-    "ZeroDenominator",
     "apply_renames",
     "coefficient_of",
     "collect_main_var",
-    "default_greek_map",
     "degree_in",
     "emit_coeff_script",
     "emit_coeff_vector",
     "emit_expr",
     "eval_at",
-    "inline_rename_spec",
-    "load_rename_file",
-    "main",
-    "make_product",
-    "make_ratfunc",
-    "make_sum",
-    "merge_tables",
-    "negate",
     "normalize",
     "parse",
-    "parse_identifier",
-    "parse_rename_file",
     "ratfunc_equal",
-    "remap",
-    "run",
     "simplify",
     "substitute",
-    "symbols_of",
-    "tokenize",
 ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .expr import (
     Expr,
@@ -45,7 +45,6 @@ from .expr import (
     SymbolRef,
     symbols_of,
 )
-from .expr import substitute  # noqa: F401  (core operation, re-exported here)
 
 Monomial = tuple[int, ...]
 SymbolTable = tuple[str, ...]
@@ -134,26 +133,12 @@ class MultiPoly:
         i = self.symbols.index(name)
         return max(mono[i] for mono in self.terms)
 
-    def used_symbols(self) -> set[str]:
-        used: set[str] = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(self.symbols[i])
-        return used
-
     def __add__(self, other: MultiPoly) -> MultiPoly:
         assert self.symbols == other.symbols
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0) + c
         return MultiPoly.make(self.symbols, out)
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.symbols, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
 
     def __mul__(self, other: MultiPoly) -> MultiPoly:
         """Product by the packed-exponent kernel.
@@ -207,6 +192,13 @@ class MultiPoly:
             return self
         return MultiPoly(self.symbols, {m: c * factor for m, c in self.terms.items()})
 
+    def div_monomial(self, g: Monomial) -> MultiPoly:
+        """Quotient by a monomial dividing every term; lex order is kept."""
+        return MultiPoly(
+            self.symbols,
+            {tuple([e - d for e, d in zip(m, g)]): c for m, c in self.terms.items()},
+        )
+
     def pow_int(self, k: int) -> MultiPoly:
         if k < 0:
             raise ValueError("negative exponent on a polynomial")
@@ -242,6 +234,16 @@ def _pack(mono: Monomial, bits: int) -> int:
     for e in mono:
         key = key << bits | e
     return key
+
+
+def monomial_gcd(monos: Iterable[Monomial]) -> Monomial | None:
+    """The largest monomial dividing all of `monos`, or None if that is 1."""
+    mins = None
+    for mono in monos:
+        mins = mono if mins is None else tuple(map(min, mins, mono))
+        if not any(mins):
+            return None
+    return mins
 
 
 def merge_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
@@ -281,7 +283,6 @@ class RatFunc:
 
 
 RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): 1}))
-RATFUNC_ONE = RatFunc(MultiPoly((), {(): 1}), MultiPoly((), {(): 1}))
 
 
 def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> RatFunc:
@@ -345,20 +346,10 @@ def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 def _cancel_common_monomial(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     # The denominator goes first: it is usually short and often the
     # constant 1, which ends the scan at once.
-    mins = None
-    for mono in chain(den.terms, num.terms):
-        mins = mono if mins is None else tuple(map(min, mins, mono))
-        if not any(mins):
-            return num, den
-
-    def shift(p: MultiPoly) -> MultiPoly:
-        # Dividing every term by one monomial keeps their order.
-        out = {
-            tuple([e - g for e, g in zip(mono, mins)]): c for mono, c in p.terms.items()
-        }
-        return MultiPoly(p.symbols, out)
-
-    return shift(num), shift(den)
+    g = monomial_gcd(chain(den.terms, num.terms))
+    if g is None:
+        return num, den
+    return num.div_monomial(g), den.div_monomial(g)
 
 
 def normalize(e: Expr) -> RatFunc:
@@ -515,10 +506,6 @@ class MainVarPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> RatFunc:
-        return self.coeffs[-1]
-
 
 def collect_main_var(e: Expr, var: str) -> MainVarPoly:
     """Collect `e` as a polynomial in `var` with var-free coefficients."""
@@ -530,19 +517,20 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
 
     Level 0 returns the input unchanged (canonical form already combines
     like terms). Level 1 additionally divides out the polynomial GCD when
-    numerator and denominator are univariate in the same symbol. The
-    result is always cross-multiplication-equal to the input.
+    the canonical `r` is univariate, i.e. its trimmed symbol table holds
+    one symbol, and neither side is constant (else the GCD is constant too).
+    The result is always cross-multiplication-equal to the input.
     """
     if level == 0:
         return r
     if level != 1:
         raise ValueError(f"unknown simplify level {level!r}")
-    num_used = r.numerator.used_symbols()
-    if len(num_used) != 1 or num_used != r.denominator.used_symbols():
+    num, den = r.numerator, r.denominator
+    if len(num.symbols) != 1 or num.is_constant() or den.is_constant():
         return r
-    (name,) = num_used
-    a = _dense_univariate(r.numerator, name)
-    b = _dense_univariate(r.denominator, name)
+    (name,) = num.symbols
+    a = _dense_univariate(num, name)
+    b = _dense_univariate(den, name)
     g = _poly_gcd(a, b)
     if len(g) < 2:
         return r

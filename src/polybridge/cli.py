@@ -79,9 +79,10 @@ class _Timer:
 
 
 def _line_column(text: str, byte_offset: int) -> tuple[int, int]:
-    data = text.encode("utf-8")[:byte_offset]
-    line = data.count(b"\n") + 1
-    column = byte_offset - (data.rfind(b"\n") + 1) + 1
+    # Spans count bytes; columns count characters.
+    prefix = text.encode("utf-8")[:byte_offset].decode("utf-8")
+    line = prefix.count("\n") + 1
+    column = len(prefix) - (prefix.rfind("\n") + 1) + 1
     return line, column
 
 
@@ -125,14 +126,20 @@ def _non_ascii_symbols(values: Sequence[RatFunc]) -> list[str]:
 
 
 def run(options: CliOptions) -> int:
-    """Execute the full pipeline; returns the process exit code."""
+    """Execute the full pipeline; returns the process exit code.
+
+    Options are validated here only, before any input is read.
+    """
     diag = sys.stderr
     timer = _Timer(options.show_time, diag)
     try:
-        cfg = EmitConfig(format=options.format, array_name=options.array_name)
+        if options.format not in FORMATS:
+            raise ValueError(f"unknown format {options.format!r}")
+        cfg = EmitConfig(options.array_name)
         if options.simplify_level not in (0, 1):
             raise ValueError(f"simplify level must be 0 or 1, got {options.simplify_level!r}")
-        if parse_identifier(options.main_var) != options.main_var:
+        main_var = parse_identifier(options.main_var)
+        if main_var is None:
             raise ValueError(f"main variable {options.main_var!r} is not an identifier")
     except ValueError as err:
         print(f"error: {err}", file=diag)
@@ -161,7 +168,7 @@ def run(options: CliOptions) -> int:
         print(f"error: {err}", file=diag)
         return EXIT_USAGE
     # The main variable is renamed by the same rules as the tree's symbols.
-    main_var = resolve_renames({options.main_var}, tuple(specs))[options.main_var]
+    main_var = resolve_renames({main_var}, tuple(specs))[main_var]
 
     try:
         if options.format == FORMAT_EXPR:
@@ -300,29 +307,16 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_arg_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed its message (--help exits 0).
         return int(exc.code or 0)
 
-    main_var = parse_identifier(ns.var)
-    if main_var is None:
-        parser.print_usage(sys.stderr)
-        print(f"polybridge: error: --var {ns.var!r} is not an identifier", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        EmitConfig(format=ns.format, array_name=ns.name)
-    except ValueError as err:
-        parser.print_usage(sys.stderr)
-        print(f"polybridge: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
     options = CliOptions(
         input=ns.input,
         output=ns.output,
-        main_var=main_var,
+        main_var=ns.var,
         format=ns.format,
         array_name=ns.name,
         greek_defaults=ns.greek_defaults,

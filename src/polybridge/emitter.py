@@ -9,34 +9,29 @@ inputs produce byte-identical text.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .algebra import MainVarPoly, Monomial, MultiPoly, RatFunc
+from .algebra import MainVarPoly, Monomial, MultiPoly, RatFunc, monomial_gcd
+from .parser import is_ascii_identifier
 
 FORMAT_SCRIPT = "script"
 FORMAT_VECTOR = "vector"
 FORMAT_EXPR = "expr"
 FORMATS = (FORMAT_SCRIPT, FORMAT_VECTOR, FORMAT_EXPR)
 
-_ASCII_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
 
 @dataclass(frozen=True)
 class EmitConfig:
-    """Output selection: format, target array name, dialect."""
+    """Target array name of the script and vector formats.
 
-    format: str = FORMAT_SCRIPT
+    Construction raises ValueError unless the name is an ASCII identifier.
+    """
+
     array_name: str = "P"
-    dialect: str = "explicit"  # single dialect today; extension point
 
     def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        if not _ASCII_IDENT.match(self.array_name):
+        if not is_ascii_identifier(self.array_name):
             raise ValueError(f"array name {self.array_name!r} is not an ASCII identifier")
-        if self.dialect != "explicit":
-            raise ValueError(f"unknown dialect {self.dialect!r}")
 
 
 def _monomial_text(symbols: tuple[str, ...], mono: Monomial) -> list[str]:
@@ -65,35 +60,19 @@ def _sum_text(p: MultiPoly) -> str:
     return "".join(pieces)
 
 
-def _common_monomial(p: MultiPoly) -> Monomial | None:
-    mins = None
-    for mono in p.terms:
-        mins = mono if mins is None else tuple(map(min, mins, mono))
-    if mins is None or not any(mins):
-        return None
-    return mins
-
-
-def _poly_text(p: MultiPoly, factor_monomials: bool) -> tuple[str, bool]:
+def _poly_text(p: MultiPoly) -> tuple[str, bool]:
     """Render a polynomial; the flag reports whether the top level is a sum.
 
-    With factoring enabled, a multi-term polynomial whose terms all share a
-    monomial factor emits factored, e.g. c^4*(t-u) instead of c^4*t-c^4*u.
+    A multi-term polynomial whose terms all share a monomial factor emits
+    factored, e.g. c^4*(t-u) instead of c^4*t-c^4*u.
     """
     if p.is_zero():
         return "0", False
-    if factor_monomials and len(p.terms) > 1:
-        common = _common_monomial(p)
+    if len(p.terms) > 1:
+        common = monomial_gcd(p.terms)
         if common is not None:
-            rest = MultiPoly.make(
-                p.symbols,
-                {
-                    tuple(e - g for e, g in zip(mono, common)): c
-                    for mono, c in p.terms.items()
-                },
-            )
             head = "*".join(_monomial_text(p.symbols, common))
-            return f"{head}*({_sum_text(rest)})", False
+            return f"{head}*({_sum_text(p.div_monomial(common))})", False
     return _sum_text(p), len(p.terms) > 1
 
 
@@ -111,18 +90,20 @@ def _is_divisor_atom(p: MultiPoly) -> bool:
     return coeff == 1 and sum(1 for e in mono if e) == 1
 
 
-def emit_expr(r: RatFunc, *, factor_monomials: bool = True) -> str:
+def emit_expr(r: RatFunc) -> str:
     """Explicit-operator rendering of a canonical rational function.
 
-    The output re-parses to a value cross-multiplication-equal to `r`.
+    Numerator and denominator each emit with their common monomial factored
+    out (see `_poly_text`). The output re-parses to a value
+    cross-multiplication-equal to `r`.
     """
-    num_text, num_is_sum = _poly_text(r.numerator, factor_monomials)
+    num_text, num_is_sum = _poly_text(r.numerator)
     den = r.denominator
     if den.is_constant() and den.constant_value() == 1:
         return num_text
     if num_is_sum:
         num_text = f"({num_text})"
-    den_text, _ = _poly_text(den, factor_monomials)
+    den_text, _ = _poly_text(den)
     if not _is_divisor_atom(den):
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"

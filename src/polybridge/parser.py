@@ -20,6 +20,7 @@ any other punctuation) are rejected: function application is unsupported.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -325,3 +326,11 @@ def parse_identifier(text: str) -> str | None:
     if len(tokens) == 2 and tokens[0].kind == IDENTIFIER:
         return tokens[0].text
     return None
+
+
+_ASCII_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+def is_ascii_identifier(text: str) -> bool:
+    """True if `text` is an ASCII letter, then ASCII letters, digits or `_`."""
+    return _ASCII_IDENT.match(text) is not None

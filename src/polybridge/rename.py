@@ -9,14 +9,11 @@ whole identifiers only.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .expr import Expr, SymbolRef, substitute, symbols_of
 from .greek import LETTER_TO_NAME
-from .parser import parse_identifier
-
-_ASCII_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+from .parser import is_ascii_identifier, parse_identifier
 
 
 class RenameCollision(Exception):
@@ -103,7 +100,7 @@ def parse_rename_entry(text: str) -> tuple[str, str]:
     if source is None:
         raise RenameError(f"rename source {left.strip()!r} is not an identifier")
     target = right.strip()
-    if not _ASCII_IDENT.match(target):
+    if not is_ascii_identifier(target):
         raise RenameError(
             f"rename target {target!r} is not an ASCII identifier"
         )

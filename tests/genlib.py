@@ -6,23 +6,20 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from polybridge import (
+from polybridge import eval_at
+from polybridge.algebra import DivisionByZeroAtPoint, MultiPoly, RatFunc, make_ratfunc
+from polybridge.expr import (
     Expr,
     IntegerLit,
-    MultiPoly,
     Power,
     Product,
     Quotient,
-    RatFunc,
     RationalLit,
     Sum,
     SymbolRef,
-    eval_at,
     make_product,
-    make_ratfunc,
     make_sum,
 )
-from polybridge.algebra import DivisionByZeroAtPoint
 
 SYMBOL_POOL = ("a", "b", "c", "t", "u", "w")
 

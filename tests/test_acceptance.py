@@ -20,8 +20,7 @@ from polybridge import (
     parse,
     ratfunc_equal,
 )
-from polybridge import main
-from polybridge.cli import CliOptions, run
+from polybridge.cli import CliOptions, main, run
 
 from genlib import eval_at_valid_point, rand_main_var_poly_expr, rand_ratfunc
 

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 import polybridge
-from polybridge import main
-from polybridge.cli import CliOptions, run
+from polybridge.cli import CliOptions, main, run
 
 
 def invoke(monkeypatch, capsys, argv, stdin=""):
@@ -190,6 +189,22 @@ class TestErrorContracts:
         assert code == 2
         assert "2:6" in err
 
+    @pytest.mark.parametrize(
+        "text, location",
+        [("β+)", "1:3"), ("x+\n  β)", "2:4")],
+    )
+    def test_parse_error_column_counts_characters(self, text, location, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, [], stdin=text)
+        assert code == 2
+        assert out == ""
+        assert f" at {location}:" in err
+
+    def test_algebra_error_column_counts_characters(self, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, [], stdin="β+x^y")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error at 1:5:")
+
     def test_missing_input_file_exits_4(self, capsys):
         code = main(["/nonexistent/poly.txt"])
         assert code == 4
@@ -239,6 +254,30 @@ class TestRunApi:
         options = CliOptions(input=str(src), format="vector")
         assert run(options) == 0
         assert capsys.readouterr().out == "P=[beta, gamma];\n"
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            CliOptions(format="csv"),
+            CliOptions(array_name="9P"),
+            CliOptions(array_name="Ω"),
+            CliOptions(main_var="2x"),
+        ],
+    )
+    def test_run_rejects_bad_options(self, options, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x"))
+        assert run(options) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_run_accepts_escaped_main_variable(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("β^2+1"))
+        assert run(CliOptions(main_var="\\[Beta]", format="vector")) == 0
+        escaped = capsys.readouterr().out
+        code, out, _ = invoke(monkeypatch, capsys, ["--var", "β", "--format", "vector"], stdin="β^2+1")
+        assert code == 0
+        assert escaped == out == "P=[1, 0, 1];\n"
 
 
 def run_module(args, stdin: bytes) -> subprocess.CompletedProcess:

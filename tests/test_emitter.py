@@ -13,24 +13,19 @@ from polybridge import (
     normalize,
     parse,
     ratfunc_equal,
-    tokenize,
 )
-from polybridge.parser import DECIMAL, IDENTIFIER, INTEGER, LPAREN, RPAREN
+from polybridge.parser import DECIMAL, IDENTIFIER, INTEGER, LPAREN, RPAREN, tokenize
 
 from genlib import rand_ratfunc
 
 
-def emit_of(text, **kwargs):
-    return emit_expr(normalize(parse(text)), **kwargs)
+def emit_of(text):
+    return emit_expr(normalize(parse(text)))
 
 
 class TestEmitExpr:
     def test_reference_string_factored(self):
         assert emit_of("a^2 b^3/(c^4 (t-u))") == "a^2*b^3/(c^4*(t-u))"
-
-    def test_reference_string_expanded(self):
-        got = emit_of("a^2 b^3/(c^4 (t-u))", factor_monomials=False)
-        assert got == "a^2*b^3/(c^4*t-c^4*u)"
 
     def test_constant_one(self):
         assert emit_of("1") == "1"
@@ -113,15 +108,15 @@ class TestEmitScript:
 class TestEmitVector:
     def test_descending_order(self):
         p = collect_main_var(parse("c2*x^2+c1*x+c0"), "x")
-        assert emit_coeff_vector(p, EmitConfig(format="vector")) == "P=[c2, c1, c0];"
+        assert emit_coeff_vector(p, EmitConfig()) == "P=[c2, c1, c0];"
 
     def test_zero_polynomial(self):
         p = collect_main_var(parse("x-x"), "x")
-        assert emit_coeff_vector(p, EmitConfig(format="vector")) == "P=[0];"
+        assert emit_coeff_vector(p, EmitConfig()) == "P=[0];"
 
     def test_rational_entries(self):
         p = collect_main_var(parse("x/2+1/3"), "x")
-        assert emit_coeff_vector(p, EmitConfig(format="vector")) == "P=[1/2, 1/3];"
+        assert emit_coeff_vector(p, EmitConfig()) == "P=[1/2, 1/3];"
 
 
 class TestEmitConfig:
@@ -130,10 +125,6 @@ class TestEmitConfig:
             EmitConfig(array_name="2P")
         with pytest.raises(ValueError):
             EmitConfig(array_name="Ω")
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            EmitConfig(format="csv")
 
 
 OPERAND_END = (INTEGER, DECIMAL, IDENTIFIER, RPAREN)

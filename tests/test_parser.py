@@ -5,20 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polybridge import (
-    IntegerLit,
-    Power,
-    Product,
-    Quotient,
-    RationalLit,
-    Sum,
-    SymbolRef,
-    eval_at,
-    normalize,
-    parse,
-    ratfunc_equal,
-    tokenize,
-)
+from polybridge import eval_at, normalize, parse, ratfunc_equal
+from polybridge.expr import IntegerLit, Power, Product, Quotient, RationalLit, Sum, SymbolRef
 from polybridge.parser import (
     CARET,
     DECIMAL,
@@ -28,6 +16,7 @@ from polybridge.parser import (
     SLASH,
     STAR,
     SourceError,
+    tokenize,
 )
 
 from genlib import fully_parenthesized, rand_expr_tree

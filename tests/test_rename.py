@@ -6,17 +6,19 @@ from polybridge import (
     EmitConfig,
     RenameCollision,
     RenameError,
-    RenameSpec,
     apply_renames,
     collect_main_var,
-    default_greek_map,
     emit_coeff_vector,
     eval_at,
-    inline_rename_spec,
     parse,
-    parse_rename_file,
 )
-from polybridge.rename import resolve_renames
+from polybridge.rename import (
+    RenameSpec,
+    default_greek_map,
+    inline_rename_spec,
+    parse_rename_file,
+    resolve_renames,
+)
 
 from genlib import eval_at_valid_point, rand_expr_tree
 
@@ -91,7 +93,7 @@ class TestApplyRenames:
         e = parse("β*x^2 + γ_b*x + Ω")
         out = apply_renames(e, default_greek_map())
         p = collect_main_var(out, "x")
-        text = emit_coeff_vector(p, EmitConfig(format="vector"))
+        text = emit_coeff_vector(p, EmitConfig())
         assert text.isascii()
         assert "beta" in text and "gamma_b" in text and "Omega" in text
 
