@@ -51,7 +51,7 @@ SymbolTable = tuple[str, ...]
 
 
 class AlgebraError(Exception):
-    """Base class for exact-arithmetic failures; may carry a source span."""
+    """Base class for exact-arithmetic failures; may carry a character span."""
 
     def __init__(self, message: str, span: Span | None = None):
         super().__init__(message)
@@ -464,11 +464,13 @@ def _var_coefficients(r: RatFunc, var: str) -> tuple[RatFunc, ...]:
     vi = num.symbols.index(var)
     reduced = tuple(s for s in num.symbols if s != var)
 
+    # Dropping var's column keeps the descending order within each power of
+    # var, and den has no var, so neither side needs a re-sort.
     buckets: dict[int, dict[Monomial, int]] = {}
     for mono, c in num.terms.items():
         rest = mono[:vi] + mono[vi + 1 :]
         buckets.setdefault(mono[vi], {})[rest] = c
-    den_reduced = MultiPoly.make(
+    den_reduced = MultiPoly(
         reduced, {m[:vi] + m[vi + 1 :]: c for m, c in den.terms.items()}
     )
 
@@ -479,7 +481,7 @@ def _var_coefficients(r: RatFunc, var: str) -> tuple[RatFunc, ...]:
         if bucket is None:
             coeffs.append(RATFUNC_ZERO)
         else:
-            coeffs.append(make_ratfunc(MultiPoly.make(reduced, bucket), den_reduced))
+            coeffs.append(make_ratfunc(MultiPoly(reduced, bucket), den_reduced))
     return tuple(coeffs)
 
 

@@ -78,12 +78,9 @@ class _Timer:
         return result
 
 
-def _line_column(text: str, byte_offset: int) -> tuple[int, int]:
-    # Spans count bytes; columns count characters.
-    prefix = text.encode("utf-8")[:byte_offset].decode("utf-8")
-    line = prefix.count("\n") + 1
-    column = len(prefix) - (prefix.rfind("\n") + 1) + 1
-    return line, column
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a span's character offset into `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _read_input(source: str) -> str:
@@ -128,8 +125,17 @@ def _non_ascii_symbols(values: Sequence[RatFunc]) -> list[str]:
 def run(options: CliOptions) -> int:
     """Execute the full pipeline; returns the process exit code.
 
-    Options are validated here only, before any input is read.
+    Options are validated here only, before any input is read. Input nested
+    deeper than Python's recursion limit exits 3, whichever stage hits it.
     """
+    try:
+        return _run(options)
+    except RecursionError:
+        print("error: expression is nested too deeply", file=sys.stderr)
+        return EXIT_NOT_POLYNOMIAL
+
+
+def _run(options: CliOptions) -> int:
     diag = sys.stderr
     timer = _Timer(options.show_time, diag)
     try:

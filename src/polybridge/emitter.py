@@ -9,9 +9,10 @@ inputs produce byte-identical text.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .algebra import MainVarPoly, Monomial, MultiPoly, RatFunc, monomial_gcd
+from .algebra import AlgebraError, MainVarPoly, Monomial, MultiPoly, RatFunc, monomial_gcd
 from .parser import is_ascii_identifier
 
 FORMAT_SCRIPT = "script"
@@ -48,7 +49,13 @@ def _term_text(symbols: tuple[str, ...], mono: Monomial, coeff: int) -> str:
     magnitude = abs(coeff)
     parts = _monomial_text(symbols, mono)
     if magnitude != 1 or not parts:
-        parts.insert(0, str(magnitude))
+        try:
+            parts.insert(0, str(magnitude))
+        except ValueError:
+            raise AlgebraError(
+                "coefficient is too long to print: Python converts at most "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
     return "*".join(parts)
 
 

@@ -3,9 +3,9 @@
 `Sum` and `Product` always hold at least two operands (singletons collapse
 to the operand itself) and unary negation is spelled
 ``Product(IntegerLit(-1), operand)``; there is no dedicated negation node.
-Nodes built by the text parser carry a source span (byte offsets into the
-input); spans never participate in equality, so structural comparison works
-across differently sourced trees.
+Nodes built by the text parser carry a source span (character offsets into
+the input); spans never participate in equality, so structural comparison
+works across differently sourced trees.
 """
 
 from __future__ import annotations

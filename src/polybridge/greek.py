@@ -23,7 +23,3 @@ ESCAPE_TO_LETTER = {name.capitalize(): ch for ch, name in zip(LOWER_LETTERS, NAM
 ESCAPE_TO_LETTER.update(
     {"Capital" + name.capitalize(): ch for ch, name in zip(UPPER_LETTERS, NAMES)}
 )
-
-
-def is_greek_letter(ch: str) -> bool:
-    return ch in LETTER_TO_NAME

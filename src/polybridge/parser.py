@@ -14,15 +14,17 @@ Juxtaposition (``2 x``, ``2x``, ``c^4 (t-u)``) is implicit multiplication
 and binds at the same precedence as ``*``. Identifiers are an ASCII letter
 or a single Greek letter followed by ASCII letters/digits/underscores;
 ``\\[Beta]`` escapes lex to the same identifier as the Greek character.
-Decimal literals are converted to exact rationals. Square brackets (and
-any other punctuation) are rejected: function application is unsupported.
+Digits are ASCII ``0-9``; decimal literals are converted to exact
+rationals. Square brackets (and any other punctuation) are rejected:
+function application is unsupported.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import (
     Expr,
@@ -36,7 +38,7 @@ from .expr import (
     make_sum,
     negate,
 )
-from .greek import ESCAPE_TO_LETTER, is_greek_letter
+from .greek import ESCAPE_TO_LETTER, LETTER_TO_NAME
 
 INTEGER = "integer"
 DECIMAL = "decimal"
@@ -50,30 +52,33 @@ LPAREN = "lparen"
 RPAREN = "rparen"
 END = "end"
 
-_OPERATOR_KINDS = {
-    "+": PLUS,
-    "-": MINUS,
-    "*": STAR,
-    "/": SLASH,
-    "^": CARET,
-    "(": LPAREN,
-    ")": RPAREN,
-}
+# One token per match; each group is named after the token kind it lexes.
+# A number followed by another '.' fails the number groups, and `bad` takes
+# it and every other character no group accepts, except whitespace, which
+# finditer skips because nothing matches there.
+_TOKEN = re.compile(
+    rf"(?P<{IDENTIFIER}>(?:[A-Za-z{''.join(LETTER_TO_NAME)}]"
+    rf"|\\\[(?P<escape>{'|'.join(ESCAPE_TO_LETTER)})\])[A-Za-z0-9_]*)"
+    rf"|(?P<{PLUS}>\+)|(?P<{MINUS}>-)|(?P<{STAR}>\*)|(?P<{SLASH}>/)|(?P<{CARET}>\^)"
+    rf"|(?P<{LPAREN}>\()|(?P<{RPAREN}>\))"
+    rf"|(?P<{INTEGER}>[0-9]+(?![.0-9]))"
+    rf"|(?P<{DECIMAL}>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?![.0-9]))"
+    r"|(?P<bad>[0-9]*\.[0-9]*\.?|\\(?:\[[A-Za-z]*\]?)?|[^ \t\r\n])"
+)
 
 # Token kinds that can begin a primary; a completed operand followed by one
 # of these is an implicit multiplication.
 _PRIMARY_START = (INTEGER, DECIMAL, IDENTIFIER, LPAREN)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     span: Span
 
 
 class SourceError(Exception):
-    """Lex or parse failure, with the byte span of the offending input."""
+    """Lex or parse failure, with the character span of the offending input."""
 
     def __init__(self, message: str, span: Span, kind: str):
         super().__init__(message)
@@ -90,114 +95,44 @@ def _parse_error(message: str, span: Span) -> SourceError:
     return SourceError(message, span, "parse")
 
 
-def _is_ident_tail(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
-
-
 def tokenize(text: str) -> list[Token]:
-    """Lex UTF-8 text into tokens; spans are byte offsets into the input."""
-    n = len(text)
-    boff = [0] * (n + 1)
-    b = 0
-    for i, ch in enumerate(text):
-        boff[i] = b
-        b += len(ch.encode("utf-8"))
-    boff[n] = b
-
+    """Lex text into tokens; spans are character offsets into `text`."""
     tokens: list[Token] = []
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        start = i
-        if ch.isascii() and ch.isalpha():
-            i += 1
-            while i < n and _is_ident_tail(text[i]):
-                i += 1
-            tokens.append(Token(IDENTIFIER, text[start:i], (boff[start], boff[i])))
-        elif is_greek_letter(ch):
-            i += 1
-            while i < n and _is_ident_tail(text[i]):
-                i += 1
-            tokens.append(Token(IDENTIFIER, text[start:i], (boff[start], boff[i])))
-        elif ch == "\\":
-            i, name = _lex_escape(text, i, boff)
-            while i < n and _is_ident_tail(text[i]):
-                name += text[i]
-                i += 1
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _bad_token(text, m)
+        tok = m.group()
+        if kind == IDENTIFIER and tok[0] == "\\":
             # Token text is the identifier the escape denotes; the span
             # still covers the escape's source slice.
-            tokens.append(Token(IDENTIFIER, name, (boff[start], boff[i])))
-        elif ch.isdigit() or ch == ".":
-            i, kind = _lex_number(text, i, boff)
-            tokens.append(Token(kind, text[start:i], (boff[start], boff[i])))
-        elif ch in _OPERATOR_KINDS:
-            i += 1
-            tokens.append(Token(_OPERATOR_KINDS[ch], ch, (boff[start], boff[i])))
-        elif ch in "[]":
-            raise _lex_error(
-                "square brackets are reserved; function application is not supported",
-                (boff[i], boff[i + 1]),
-            )
-        else:
-            raise _lex_error(
-                f"unsupported character {ch!r}", (boff[i], boff[i + 1])
-            )
-    tokens.append(Token(END, "", (boff[n], boff[n])))
+            tok = ESCAPE_TO_LETTER[m["escape"]] + text[m.end("escape") + 1 : m.end()]
+        append(Token(kind, tok, m.span()))
+    append(Token(END, "", (len(text), len(text))))
     return tokens
 
 
-def _lex_escape(text: str, i: int, boff: list[int]) -> tuple[int, str]:
-    n = len(text)
-    start = i
-    if i + 1 >= n or text[i + 1] != "[":
-        raise _lex_error(
-            "malformed escape: expected \\[Name]",
-            (boff[start], boff[min(start + 2, n)]),
+def _bad_token(text: str, m: re.Match) -> SourceError:
+    bad, (start, end) = m.group(), m.span()
+    if bad == "\\":
+        return _lex_error(
+            "malformed escape: expected \\[Name]", (start, min(start + 2, len(text)))
         )
-    j = i + 2
-    while j < n and text[j].isascii() and text[j].isalpha():
-        j += 1
-    if j >= n or text[j] != "]":
-        raise _lex_error(
-            "malformed escape: missing ']'", (boff[start], boff[j])
+    if bad[0] == "\\":
+        if bad[-1] == "]":
+            return _lex_error(f"unknown escape name {bad}", (start, end))
+        return _lex_error("malformed escape: missing ']'", (start, end))
+    if bad in (".", ".."):
+        return _lex_error("unexpected '.'", (start, start + 1))
+    if "." in bad:
+        return _lex_error("malformed number: more than one decimal point", (start, end))
+    if bad in "[]":
+        return _lex_error(
+            "square brackets are reserved; function application is not supported",
+            (start, end),
         )
-    name = text[i + 2 : j]
-    letter = ESCAPE_TO_LETTER.get(name)
-    if letter is None:
-        raise _lex_error(
-            f"unknown escape name \\[{name}]", (boff[start], boff[j + 1])
-        )
-    return j + 1, letter
-
-
-def _lex_number(text: str, i: int, boff: list[int]) -> tuple[int, str]:
-    n = len(text)
-    start = i
-    while i < n and text[i].isdigit():
-        i += 1
-    kind = INTEGER
-    if i < n and text[i] == ".":
-        kind = DECIMAL
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    if i == start + 1 and text[start] == ".":
-        raise _lex_error("unexpected '.'", (boff[start], boff[i]))
-    if i < n and text[i] == ".":
-        raise _lex_error(
-            "malformed number: more than one decimal point",
-            (boff[start], boff[i + 1]),
-        )
-    return i, kind
-
-
-def _fraction_from_decimal(text: str) -> Fraction:
-    whole, _, frac = text.partition(".")
-    digits = (whole or "0") + frac
-    return Fraction(int(digits), 10 ** len(frac))
+    return _lex_error(f"unsupported character {bad!r}", (start, end))
 
 
 class _Parser:
@@ -262,14 +197,21 @@ class _Parser:
 
     def primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == INTEGER:
+        if tok.kind == INTEGER or tok.kind == DECIMAL:
             self.advance()
-            return IntegerLit(int(tok.text), tok.span)
-        if tok.kind == DECIMAL:
-            self.advance()
-            value = _fraction_from_decimal(tok.text)
+            try:
+                if tok.kind == INTEGER:
+                    return IntegerLit(int(tok.text), tok.span)
+                value = Fraction(tok.text)
+            except ValueError:
+                # Only Python's int/str digit limit rejects [0-9.] text.
+                raise _parse_error(
+                    "number is too long: Python converts at most "
+                    f"{sys.get_int_max_str_digits()} digits",
+                    tok.span,
+                ) from None
             if value.denominator == 1:
-                return IntegerLit(int(value), tok.span)
+                return IntegerLit(value.numerator, tok.span)
             return RationalLit(value.numerator, value.denominator, tok.span)
         if tok.kind == IDENTIFIER:
             self.advance()
@@ -301,7 +243,7 @@ def _end(e: Expr) -> int:
 def parse(input_text: str) -> Expr:
     """Parse text into an expression tree.
 
-    Raises SourceError (kind "lex" or "parse") with a byte span on any
+    Raises SourceError (kind "lex" or "parse") with a character span on any
     malformed input, including empty input.
     """
     tokens = tokenize(input_text)

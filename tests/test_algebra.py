@@ -388,6 +388,22 @@ class TestCanonicalInvariants:
                 keys = list(poly.terms)
                 assert keys == sorted(keys, reverse=True)
 
+    def test_collected_coefficients_are_canonical(self):
+        rng = Random(107)
+        for _ in range(100):
+            a, b, c = (emit_expr(rand_ratfunc(rng)) for _ in range(3))
+            tree = parse(f"({a})+({b})*x^2+({c})*(x+({a}))^3")
+            for r in collect_main_var(tree, "x").coeffs:
+                num, den = r.numerator, r.denominator
+                # iteration is in descending monomial order
+                for poly in (num, den):
+                    keys = list(poly.terms)
+                    assert keys == sorted(keys, reverse=True)
+                # unit content and a positive leading denominator coefficient
+                if num.terms:
+                    assert gcd(*num.terms.values(), *den.terms.values()) == 1
+                assert den.leading()[1] > 0
+
     def test_normalize_idempotent_at_representation_level(self):
         rng = Random(101)
         for _ in range(200):

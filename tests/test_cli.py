@@ -205,6 +205,36 @@ class TestErrorContracts:
         assert out == ""
         assert err.startswith("error at 1:5:")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x²", "lex error at 1:2: unsupported character '²'\n"),
+         ("x^2+٣", "lex error at 1:5: unsupported character '٣'\n")],
+    )
+    def test_non_ascii_digit_exits_2(self, text, message, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, [], stdin=text)
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("prefix", ["", "0."])
+    def test_long_literal_exits_2_at_its_position(self, prefix, monkeypatch, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int/str digit limit")
+        text = "x^2+\n 2*" + prefix + "1" * (limit + 700) + "*x"
+        code, out, err = invoke(monkeypatch, capsys, [], stdin=text)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error at 2:4: ") and f"{limit} digits" in err
+
+    @pytest.mark.parametrize("fmt", ["script", "expr"])
+    def test_coefficient_over_digit_limit_exits_3(self, fmt, monkeypatch, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int/str digit limit")
+        text = "(12345678901234567890123*x)^500"
+        code, out, err = invoke(monkeypatch, capsys, ["--format", fmt], stdin=text)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and f"{limit} digits" in err
+        assert "Traceback" not in err
+
     def test_missing_input_file_exits_4(self, capsys):
         code = main(["/nonexistent/poly.txt"])
         assert code == 4
@@ -342,6 +372,38 @@ class TestMainVariableRenamed:
         monkeypatch.setattr(sys, "stdin", io.StringIO("a*γ_b^2+γ_b"))
         assert run(CliOptions(main_var="γ_b", format="vector")) == 0
         assert capsys.readouterr().out == "P=[a, 1, 0];\n"
+
+
+DEEP_INPUTS = {
+    "parentheses": "(" * 300 + "x" + ")" * 300,
+    "minus_990": "-" * 990 + "x",
+    "minus_2000": "-" * 2000 + "x",
+    "tower": "^".join(["2"] * 1500),
+}
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+    def test_deep_input_exits_3(self, name, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, [], stdin=DEEP_INPUTS[name])
+        assert (code, out, err) == (3, "", "error: expression is nested too deeply\n")
+
+    @pytest.mark.parametrize(
+        "stage", ["parse", "apply_renames", "collect_main_var", "simplify", "emit_coeff_script"]
+    )
+    def test_recursion_error_in_any_stage_exits_3(self, stage, monkeypatch, capsys):
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(polybridge.cli, stage, too_deep)
+        code, out, err = invoke(monkeypatch, capsys, [], stdin="a*x^2+b")
+        assert (code, out, err) == (3, "", "error: expression is nested too deeply\n")
+
+    def test_deep_input_process(self):
+        proc = run_module([], DEEP_INPUTS["parentheses"].encode("ascii"))
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: expression is nested too deeply\n"
 
 
 class TestModuleEntryPoint:

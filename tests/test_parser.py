@@ -65,18 +65,17 @@ class TestTokenize:
     def test_spans_cover_non_whitespace(self):
         text = "β*x + 12"
         toks = tokenize(text)
-        data = text.encode("utf-8")
-        covered = bytearray(len(data))
+        covered = [False] * len(text)
         prev_end = 0
         for tok in toks[:-1]:
             start, end = tok.span
-            assert prev_end <= start < end <= len(data)
+            assert prev_end <= start < end <= len(text)
             prev_end = end
             for i in range(start, end):
-                covered[i] = 1
+                covered[i] = True
         for i, flag in enumerate(covered):
             if not flag:
-                assert data[i : i + 1].isspace()
+                assert text[i].isspace()
 
     def test_decimal_tokens(self):
         assert kinds("0.5") == [DECIMAL, END]
@@ -89,6 +88,40 @@ class TestTokenize:
         with pytest.raises(SourceError) as exc:
             tokenize(bad)
         assert exc.value.kind == "lex"
+
+    @pytest.mark.parametrize(
+        "bad, message, span",
+        [
+            ("[x]", "square brackets are reserved; function application is not supported", (0, 1)),
+            ("x$", "unsupported character '$'", (1, 2)),
+            ("\\x", "malformed escape: expected \\[Name]", (0, 2)),
+            ("\\", "malformed escape: expected \\[Name]", (0, 1)),
+            ("\\[Be", "malformed escape: missing ']'", (0, 4)),
+            ("\\[Foo]", "unknown escape name \\[Foo]", (0, 6)),
+            ("\\[]", "unknown escape name \\[]", (0, 3)),
+            (".", "unexpected '.'", (0, 1)),
+            ("..", "unexpected '.'", (0, 1)),
+            ("1.2.3", "malformed number: more than one decimal point", (0, 4)),
+            ("1..", "malformed number: more than one decimal point", (0, 3)),
+            (".5.", "malformed number: more than one decimal point", (0, 3)),
+        ],
+    )
+    def test_lex_error_messages_and_spans(self, bad, message, span):
+        with pytest.raises(SourceError) as exc:
+            tokenize(bad)
+        assert (exc.value.message, exc.value.kind, exc.value.span) == (message, "lex", span)
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("2.", (DECIMAL, "2.", (0, 2))),
+            (".25", (DECIMAL, ".25", (0, 3))),
+            ("\\[Gamma]b", (IDENTIFIER, "γb", (0, 9))),
+        ],
+    )
+    def test_lex_accepts(self, text, token):
+        toks = tokenize(text)
+        assert [(t.kind, t.text, t.span) for t in toks] == [token, (END, "", (len(text), len(text)))]
 
     def test_slash_token(self):
         assert kinds("a/b") == [IDENTIFIER, SLASH, IDENTIFIER, END]
@@ -184,6 +217,23 @@ class TestParse:
         with pytest.raises(SourceError) as exc:
             parse("(x+1")
         assert exc.value.span == (0, 1)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(list("ab xy019.+-*/^()[]\\$\n") + ["\\[Beta]", "\\[Be"]),
+                st.sampled_from(list("αβγΩ")),
+                st.characters(categories=("Nd", "No")),
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_parse_returns_tree_or_source_error(self, text):
+        try:
+            parse(text)
+        except SourceError as err:
+            start, end = err.span
+            assert 0 <= start <= end <= len(text)
 
     def test_error_spans_index_real_input(self):
         cases = ["x+", "((a)", "a^*b", "x 1.2.3", "foo$bar", "x )"]
