@@ -1,4 +1,4 @@
-"""Exact multivariate rational-function arithmetic over the rationals.
+"""Exact multivariate rational-function arithmetic with int coefficients.
 
 Representation. A polynomial maps monomials to nonzero int coefficients,
 where a monomial is an exponent tuple aligned with the polynomial's symbol
@@ -11,10 +11,10 @@ pair, so no polynomial coefficient needs to be a fraction. Products use a
 packed-exponent kernel (Monagan & Pearce, CASC 2007): each monomial is
 packed into one int so that multiplying monomials is one int addition.
 
-`Fraction` remains only where a value can be non-integral: point
-evaluation (`eval_at`), `RatFunc.constant_value`, the integer test on
-exponents, and the univariate Euclid inside `simplify`, whose Fraction
-results `make_ratfunc` clears back to int.
+The coefficient ring is Z everywhere: `simplify`'s univariate GCD is a
+primitive remainder sequence over Z. `Fraction` remains only where a value
+is rational by nature: point evaluation (`eval_at`, `MultiPoly.eval`) and
+`RatFunc.constant_value`.
 
 Canonical rational functions additionally guarantee: the symbol table is
 trimmed to symbols that actually occur, any monomial dividing every term
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .expr import (
@@ -85,9 +85,8 @@ class MultiPoly:
     `terms` holds no zero coefficients and iterates in descending monomial
     order. All arithmetic assumes both operands share the same symbol
     table; use `merge_tables`/`remap` to align values first. Products
-    multiply packed monomials (see `__mul__`). The only Fraction
-    coefficients are the transient ones `simplify` hands to
-    `make_ratfunc`, which clears them back to int.
+    multiply packed monomials (see `__mul__`). Only `eval` leaves Z: it
+    returns the exact `Fraction` value at a rational point.
     """
 
     symbols: SymbolTable
@@ -275,9 +274,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.numerator.is_constant() and self.denominator.is_constant()
-
     def constant_value(self) -> Fraction:
         return Fraction(self.numerator.constant_value(), self.denominator.constant_value())
 
@@ -286,10 +282,11 @@ RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): 1}))
 
 
 def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> RatFunc:
-    """Canonicalize a numerator/denominator pair into a RatFunc.
+    """Canonicalize a numerator/denominator pair of int polynomials.
 
-    Coefficients may be Fractions (the univariate Euclid in `simplify`
-    produces them); the result's coefficients are always ints.
+    Cancels the common monomial, trims unused symbols, divides out the
+    content of the pair and makes the denominator's leading coefficient
+    positive (see the module docstring).
     """
     if den.is_zero():
         raise ZeroDenominator("denominator is identically zero", span)
@@ -297,7 +294,6 @@ def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> Ra
         return RATFUNC_ZERO
     num, den = _cancel_common_monomial(num, den)
     num, den = _trim_pair(num, den)
-    num, den = _clear_denominators(num, den)
 
     content = 0
     for c in chain(num.terms.values(), den.terms.values()):
@@ -310,20 +306,6 @@ def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> Ra
         num = MultiPoly(num.symbols, {m: c // content for m, c in num.terms.items()})
         den = MultiPoly(den.symbols, {m: c // content for m, c in den.terms.items()})
     return RatFunc(num, den)
-
-
-def _clear_denominators(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """The pair scaled to int coefficients; returned as is if they already are."""
-    if all(type(c) is int for c in chain(num.terms.values(), den.terms.values())):
-        return num, den
-    scale = 1
-    for c in chain(num.terms.values(), den.terms.values()):
-        scale = lcm(scale, c.denominator)
-
-    def scaled(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(p.symbols, {m: int(c * scale) for m, c in p.terms.items()})
-
-    return scaled(num), scaled(den)
 
 
 def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -429,8 +411,8 @@ def _to_num_den(e: Expr, table: SymbolTable) -> tuple[MultiPoly, MultiPoly]:
 def _integer_constant(num: MultiPoly, den: MultiPoly) -> int | None:
     if not (num.is_constant() and den.is_constant()):
         return None
-    value = Fraction(num.constant_value(), den.constant_value())
-    return value.numerator if value.denominator == 1 else None
+    k, rest = divmod(num.constant_value(), den.constant_value())
+    return None if rest else k
 
 
 def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
@@ -521,7 +503,9 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     like terms). Level 1 additionally divides out the polynomial GCD when
     the canonical `r` is univariate, i.e. its trimmed symbol table holds
     one symbol, and neither side is constant (else the GCD is constant too).
-    The result is always cross-multiplication-equal to the input.
+    The GCD is the last primitive remainder over Z (Brown, JACM 1971); by
+    Gauss's lemma it divides both sides over Z. The result is always
+    cross-multiplication-equal to the input.
     """
     if level == 0:
         return r
@@ -530,70 +514,65 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     num, den = r.numerator, r.denominator
     if len(num.symbols) != 1 or num.is_constant() or den.is_constant():
         return r
-    (name,) = num.symbols
-    a = _dense_univariate(num, name)
-    b = _dense_univariate(den, name)
-    g = _poly_gcd(a, b)
+    a, b = _dense(num), _dense(den)
+    g = _primitive_gcd(a, b)
     if len(g) < 2:
         return r
-    symbols = (name,)
-    num = MultiPoly.make(
-        symbols, {(i,): c for i, c in enumerate(_poly_divexact(a, g))}
-    )
-    den = MultiPoly.make(
-        symbols, {(i,): c for i, c in enumerate(_poly_divexact(b, g))}
-    )
-    return make_ratfunc(num, den)
+    return make_ratfunc(_exact_quotient(a, g, num.symbols), _exact_quotient(b, g, num.symbols))
 
 
-def _dense_univariate(p: MultiPoly, name: str) -> list[Fraction]:
-    i = p.symbols.index(name)
-    out = [Fraction(0)] * (p.degree_in(name) + 1)
-    for mono, c in p.terms.items():
-        out[mono[i]] = Fraction(c)
+def _dense(p: MultiPoly) -> list[int]:
+    """Coefficients of a univariate polynomial, constant term first."""
+    out = [0] * (p.leading()[0][0] + 1)
+    for (e,), c in p.terms.items():
+        out[e] = c
     return out
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _primitive(p: list[int]) -> list[int]:
+    content = gcd(*p)
+    return [c // content for c in p] if content > 1 else p
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        _poly_trim(a)
-        if not a:
-            break
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive GCD over Z of two nonzero dense polynomials (up to sign)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     return a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return [c / a[-1] for c in a] if a else a
+def _exact_quotient(a: list[int], g: list[int], symbols: SymbolTable) -> MultiPoly:
+    q, rem, scaled = _pseudo_divmod(a, g)
+    assert not rem and not scaled, "inexact polynomial division"
+    return MultiPoly.make(symbols, {(i,): c for i, c in enumerate(q)})
 
 
-def _poly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = factor
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], bool]:
+    """Long division of dense int polynomials: `(q, r, scaled)`.
+
+    `s*a == q*b + r` with deg r < deg b. A step scales the running remainder
+    and quotient by lc(b) only when lc(b) does not divide the leading
+    coefficient, so `s` is a power of lc(b), and `scaled` says if `s != 1`.
+    """
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
+    lead, n = b[-1], len(b) - 1
+    scaled = False
+    for shift in range(len(q) - 1, -1, -1):
+        top = r[shift + n]
+        if not top:
+            continue
+        f, rest = divmod(top, lead)
+        if rest:
+            r, q, f = [c * lead for c in r], [c * lead for c in q], top
+            scaled = True
+        q[shift] = f
         for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        _poly_trim(a)
-        if not a:
-            break
-    assert not a, "inexact polynomial division"
-    return q
+            r[shift + i] -= f * c
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, scaled
 
 
 def eval_at(

@@ -10,6 +10,7 @@ result or nothing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -229,18 +230,33 @@ def _run(options: CliOptions) -> int:
     try:
         timer.stage("write", lambda: _write_output(options.output, output))
     except OSError as err:
-        print(f"error: cannot write {options.output!r}: {err}", file=diag)
+        print(f"error: cannot write {options.output!r}: {err.strerror or err}", file=diag)
         return EXIT_USAGE
     return EXIT_OK
 
 
 def _write_output(destination: str | None, output: str) -> None:
+    """Write to stdout, or to a file next to `destination` that then replaces it.
+
+    A failed write leaves the target as it was. Like `open(destination, "w")`,
+    this follows symlinks and keeps the target's mode (0o666 less the umask if new).
+    """
     if destination is None:
         sys.stdout.write(output)
         sys.stdout.flush()
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
+        return
+    target = os.path.realpath(destination)
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(output)
+        if os.path.exists(target):
+            os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 class _ArgumentParser(argparse.ArgumentParser):

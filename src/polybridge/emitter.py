@@ -3,8 +3,8 @@
 Every multiplication is written with `*` (never juxtaposition), powers use
 `^` with integer exponents >= 2, and parentheses are minimal under the
 precedence table (^ above unary minus above * / above + -). Terms emit in
-descending monomial order and output contains no whitespace, so identical
-inputs produce byte-identical text.
+descending monomial order, so identical inputs give byte-identical text. No
+whitespace is emitted except each script line's newline and the vector's `, `.
 """
 
 from __future__ import annotations

@@ -244,7 +244,10 @@ def parse(input_text: str) -> Expr:
     """Parse text into an expression tree.
 
     Raises SourceError (kind "lex" or "parse") with a character span on any
-    malformed input, including empty input.
+    malformed input, including empty input. The parser recurses, so input
+    nested deeper than Python's recursion limit (~200 parentheses) raises a
+    bare RecursionError, as do `normalize`, `collect_main_var` and
+    `substitute` on such a tree; only `cli.run` maps it to exit 3.
     """
     tokens = tokenize(input_text)
     parser = _Parser(tokens)

@@ -33,11 +33,11 @@ def rand_coeff(rng: Random) -> int:
 
 def rand_poly_terms(
     rng: Random, width: int, max_terms: int, max_exp: int
-) -> dict[tuple[int, ...], Fraction]:
-    terms: dict[tuple[int, ...], Fraction] = {}
+) -> dict[tuple[int, ...], int]:
+    terms: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_exp) for _ in range(width))
-        terms[mono] = Fraction(rand_coeff(rng))
+        terms[mono] = rand_coeff(rng)
     return terms
 
 
@@ -50,11 +50,11 @@ def rand_ratfunc(rng: Random) -> RatFunc:
     else:
         num = rand_poly_terms(rng, width, max_terms=5, max_exp=4)
     if rng.random() < 0.5:
-        den = {(0,) * width: Fraction(rng.randint(1, 9))}
+        den = {(0,) * width: rng.randint(1, 9)}
     else:
         den = rand_poly_terms(rng, width, max_terms=3, max_exp=3)
         if not MultiPoly.make(symbols, den).terms:
-            den = {(0,) * width: Fraction(1)}
+            den = {(0,) * width: 1}
     return make_ratfunc(MultiPoly.make(symbols, num), MultiPoly.make(symbols, den))
 
 

@@ -24,6 +24,8 @@ from polybridge.algebra import (
     SymbolicExponent,
     UnboundSymbol,
     ZeroDenominator,
+    _exact_quotient,
+    make_ratfunc,
 )
 from polybridge.expr import IntegerLit, Power, Product, SymbolRef, make_product, make_sum
 
@@ -319,6 +321,45 @@ class TestSimplify:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             simplify(normalize(parse("x")), 2)
+
+    def test_fully_reduced_against_sympy(self):
+        """Planted common factors: (a*g)/(b*g) must come back as a/b up to units."""
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+
+        def dense(rng, degree, bound):
+            lead = rng.choice((-1, 1)) * rng.randint(1, bound)
+            return [rng.randint(-bound, bound) for _ in range(degree)] + [lead]
+
+        def poly(cs):
+            return MultiPoly.make(("t",), {(i,): c for i, c in enumerate(cs)})
+
+        def to_sympy(p):
+            return sum((c * t ** sum(m) for m, c in p.terms.items()), sympy.Integer(0))
+
+        rng = Random(1971)
+        for i in range(250):
+            bound = rng.choice((1, 9, 1000, 10**6))
+            kind = i % 5
+            g = dense(rng, 0 if kind == 1 else rng.randint(1, 3), bound)
+            a = dense(rng, 0 if kind == 3 else rng.randint(0, 3), bound)
+            # kind 2: g is the whole denominator
+            b = [1] if kind == 2 else dense(rng, 0 if kind == 4 else rng.randint(0, 3), bound)
+            r = make_ratfunc(poly(a) * poly(g), poly(b) * poly(g))
+            s = simplify(r, 1)
+            assert ratfunc_equal(s, r)
+            common = sympy.gcd(to_sympy(s.numerator), to_sympy(s.denominator))
+            assert sympy.degree(common, t) == 0, (a, b, g)
+
+    @pytest.mark.parametrize(
+        "a, g",
+        # t^2+1 by t+1 leaves 2; 4t^2-1 by 4t+2 is (2t-1)/2, exact only over Q.
+        [([1, 0, 1], [1, 1]), ([-1, 0, 4], [2, 4])],
+        ids=["nonzero-remainder", "needs-scaling"],
+    )
+    def test_exact_quotient_asserts_exactness(self, a, g):
+        with pytest.raises(AssertionError, match="inexact"):
+            _exact_quotient(a, g, ("t",))
 
 
 class TestEval:

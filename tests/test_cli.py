@@ -1,6 +1,8 @@
+import errno
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -412,3 +414,80 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.decode("utf-8") == "P=[beta, gamma];\n"
         assert proc.stderr == b""
+
+
+class TestAtomicOutput:
+    """`-o` replaces its target only once the whole result is written."""
+
+    OLD = "P(1)=old;\n"
+    NEW = "P(1)=1;\nP(2)=1;\n"
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_write_leaves_target_intact(self, failing, tmp_path, monkeypatch, capsys):
+        dst = tmp_path / "out.m"
+        dst.write_text(self.OLD, encoding="utf-8")
+        if failing == "write":
+            real_open = open
+
+            class DiskFull:
+                """A file that takes a few characters, then runs out of space."""
+
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, text):
+                    self.fh.write(text[:4])
+                    self.fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(
+                "polybridge.cli.open", lambda *a, **k: DiskFull(real_open(*a, **k)), raising=False
+            )
+        else:
+
+            def refuse(src, dst):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = invoke(monkeypatch, capsys, ["-o", str(dst)], stdin="x+1")
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: cannot write {str(dst)!r}: ")
+        assert dst.read_text(encoding="utf-8") == self.OLD
+        assert os.listdir(tmp_path) == ["out.m"]
+
+    def test_missing_directory_names_the_target(self, tmp_path, monkeypatch, capsys):
+        dst = tmp_path / "missing" / "out.m"
+        code, out, err = invoke(monkeypatch, capsys, ["-o", str(dst)], stdin="x+1")
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot write {str(dst)!r}: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_file_mode_matches_plain_open(self, tmp_path, monkeypatch, capsys):
+        fresh, old = tmp_path / "fresh.m", tmp_path / "old.m"
+        old.write_text(self.OLD, encoding="utf-8")
+        old.chmod(0o640)
+        for dst in (fresh, old):
+            assert invoke(monkeypatch, capsys, ["-o", str(dst)], stdin="x+1")[0] == 0
+            assert dst.read_text(encoding="utf-8") == self.NEW
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+    def test_symlink_is_written_through(self, tmp_path, monkeypatch, capsys):
+        real, link = tmp_path / "real.m", tmp_path / "link.m"
+        real.write_text(self.OLD, encoding="utf-8")
+        link.symlink_to(real)
+        assert invoke(monkeypatch, capsys, ["-o", str(link)], stdin="x+1")[0] == 0
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == self.NEW
+        assert sorted(os.listdir(tmp_path)) == ["link.m", "real.m"]
