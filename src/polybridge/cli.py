@@ -10,7 +10,9 @@ result or nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -180,45 +182,32 @@ def _run(options: CliOptions) -> int:
     try:
         if options.format == FORMAT_EXPR:
             value = timer.stage("normalize", lambda: normalize(renamed))
-            value = timer.stage(
-                "simplify", lambda: simplify(value, options.simplify_level)
-            )
+            value = timer.stage("simplify", lambda: simplify(value, options.simplify_level))
             output = timer.stage("emit", lambda: emit_expr(value) + "\n")
-            residue = _non_ascii_symbols([value])
+            residue = ", ".join(_non_ascii_symbols([value]))
             if residue:
-                print(
-                    "warning: output contains non-ASCII symbols: "
-                    + ", ".join(residue),
-                    file=diag,
-                )
+                print(f"warning: output contains non-ASCII symbols: {residue}", file=diag)
         else:
-            collected = timer.stage(
-                "collect", lambda: collect_main_var(renamed, main_var)
-            )
+            collected = timer.stage("collect", lambda: collect_main_var(renamed, main_var))
             collected = timer.stage(
                 "simplify",
                 lambda: MainVarPoly(
                     collected.main_var,
-                    tuple(
-                        simplify(c, options.simplify_level) for c in collected.coeffs
-                    ),
+                    tuple(simplify(c, options.simplify_level) for c in collected.coeffs),
                 ),
             )
-            residue = _non_ascii_symbols(collected.coeffs)
+            residue = ", ".join(_non_ascii_symbols(collected.coeffs))
             if residue:
                 print(
-                    "error: non-ASCII symbols remain after renaming: "
-                    + ", ".join(residue)
-                    + " (add --rename rules or use --format expr)",
+                    f"error: non-ASCII symbols remain after renaming: {residue}"
+                    " (add --rename rules or use --format expr)",
                     file=diag,
                 )
                 return EXIT_USAGE
             if options.format == FORMAT_SCRIPT:
                 output = timer.stage("emit", lambda: emit_coeff_script(collected, cfg))
             else:
-                output = timer.stage(
-                    "emit", lambda: emit_coeff_vector(collected, cfg) + "\n"
-                )
+                output = timer.stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")
     except AlgebraError as err:
         location = ""
         if err.span is not None:
@@ -236,23 +225,41 @@ def _run(options: CliOptions) -> int:
 
 
 def _write_output(destination: str | None, output: str) -> None:
-    """Write to stdout, or to a file next to `destination` that then replaces it.
+    """Write to stdout or to `destination`, replacing a regular file whole.
 
-    A failed write leaves the target as it was. Like `open(destination, "w")`,
-    this follows symlinks and keeps the target's mode (0o666 less the umask if new).
+    A new or regular file in a writable directory is written to a file beside
+    it, synced and renamed over it, so a failed write leaves it as it was. The
+    new file keeps the target's permission bits (0o666 less the umask if new),
+    not its owner, ACLs or hard links. Anything else (a device, a pipe, a path
+    ending in a separator, a file in an unwritable directory) is written in
+    place by `open(destination, "w")`. As with `open`, symlinks are followed
+    and an unwritable target is refused.
     """
     if destination is None:
         sys.stdout.write(output)
         sys.stdout.flush()
         return
+    try:
+        st = os.stat(destination)
+    except FileNotFoundError:
+        st = None
     target = os.path.realpath(destination)
+    in_place = not os.path.basename(destination) or (st and not stat.S_ISREG(st.st_mode))
+    if in_place or not os.access(os.path.dirname(target), os.W_OK):
+        with open(destination, "w", encoding="utf-8") as fh:
+            fh.write(output)
+        return
+    if st is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), destination)
     temp = f"{target}.{os.urandom(4).hex()}.tmp"
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(output)
-        if os.path.exists(target):
-            os.chmod(temp, os.stat(target).st_mode & 0o7777)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if st is not None:
+            os.chmod(temp, stat.S_IMODE(st.st_mode) & 0o777)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -284,27 +291,21 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         help="input file, or '-' for stdin (default)",
     )
     parser.add_argument("-o", "--output", help="output file (default: stdout)")
-    parser.add_argument(
-        "--var", default="x", help="main variable (default: x)"
-    )
+    parser.add_argument("--var", default="x", help="main variable (default: x)")
     parser.add_argument(
         "--format",
         choices=list(FORMATS),
         default=FORMAT_SCRIPT,
         help="output format (default: script)",
     )
-    parser.add_argument(
-        "--name", default="P", help="target array name (default: P)"
-    )
+    parser.add_argument("--name", default="P", help="target array name (default: P)")
     parser.add_argument(
         "--no-greek-defaults",
         dest="greek_defaults",
         action="store_false",
         help="do not apply the built-in Greek-to-ASCII rename table",
     )
-    parser.add_argument(
-        "--rename-file", help="file of FROM=TO rename rules (one per line)"
-    )
+    parser.add_argument("--rename-file", help="file of FROM=TO rename rules (one per line)")
     parser.add_argument(
         "--rename",
         action="append",

@@ -491,3 +491,70 @@ class TestAtomicOutput:
         assert link.is_symlink()
         assert real.read_text(encoding="utf-8") == self.NEW
         assert sorted(os.listdir(tmp_path)) == ["link.m", "real.m"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_special_mode_bits_are_not_copied(self, tmp_path, monkeypatch, capsys):
+        dst = tmp_path / "out.m"
+        dst.write_text(self.OLD, encoding="utf-8")
+        dst.chmod(0o4755)
+        assert invoke(monkeypatch, capsys, ["-o", str(dst)], stdin="x+1")[0] == 0
+        assert stat.S_IMODE(dst.stat().st_mode) == 0o755
+
+    def test_replaced_file_is_synced(self, tmp_path, monkeypatch, capsys):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        assert invoke(monkeypatch, capsys, ["-o", str(tmp_path / "out.m")], stdin="x+1")[0] == 0
+        assert len(synced) == 1
+
+    def test_target_that_cannot_be_written_is_refused(self, tmp_path, monkeypatch, capsys):
+        dst = tmp_path / "out.m"
+        dst.write_text(self.OLD, encoding="utf-8")
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: path != str(dst) and real_access(path, mode)
+        )
+        code, out, err = invoke(monkeypatch, capsys, ["-o", str(dst)], stdin="x+1")
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot write {str(dst)!r}: Permission denied\n"
+        assert dst.read_text(encoding="utf-8") == self.OLD
+        assert os.listdir(tmp_path) == ["out.m"]
+
+    def test_unwritable_directory_writes_in_place(self, tmp_path, monkeypatch, capsys):
+        dst = tmp_path / "out.m"
+        dst.write_text(self.OLD, encoding="utf-8")
+        inode = dst.stat().st_ino
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: path != str(tmp_path) and real_access(path, mode)
+        )
+        assert invoke(monkeypatch, capsys, ["-o", str(dst)], stdin="x+1")[0] == 0
+        assert dst.read_text(encoding="utf-8") == self.NEW
+        assert dst.stat().st_ino == inode
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+    def test_named_pipe_is_written_not_replaced(self, tmp_path, monkeypatch, capsys):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert invoke(monkeypatch, capsys, ["-o", str(fifo)], stdin="x+1")[0] == 0
+            assert os.read(reader, 1 << 16) == self.NEW.encode("utf-8")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.listdir(tmp_path) == ["out.fifo"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_standard_stream_device_is_written_through(self, stream):
+        proc = run_module(["-o", f"/dev/{stream}"], b"x+1")
+        assert proc.returncode == 0
+        assert getattr(proc, stream) == self.NEW.encode("utf-8")
+
+    def test_path_ending_in_separator_is_refused(self, tmp_path, monkeypatch, capsys):
+        dst = str(tmp_path / "new") + os.sep
+        code, out, err = invoke(monkeypatch, capsys, ["-o", dst], stdin="x+1")
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot write {dst!r}: Is a directory\n"
+        assert os.listdir(tmp_path) == []
