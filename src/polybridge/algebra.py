@@ -7,9 +7,22 @@ compare under pure lexicographic order on exponent vectors; term dicts are
 stored in descending monomial order so iteration and emission are
 deterministic. Rational literals arrive as an integer numerator and
 denominator and rational content folds into the numerator/denominator
-pair, so no polynomial coefficient needs to be a fraction. Products use a
-packed-exponent kernel (Monagan & Pearce, CASC 2007): each monomial is
-packed into one int so that multiplying monomials is one int addition.
+pair, so no polynomial coefficient needs to be a fraction.
+
+Packed keys. Arithmetic runs on packed-exponent term dicts `{key: int}`
+(Monagan & Pearce, CASC 2007): a monomial packs into one int with a fixed
+field width per symbol, the first symbol in the most significant field, so
+multiplying monomials is one int addition and int order is lex order.
+`normalize` packs at the leaves (a symbol is the key `1 << shift`, a
+constant the key 0), combines every node through one schoolbook product
+kernel, `_mul`, and its power routine `_pow`, and unpacks and sorts each
+side once. Each intermediate carries an upper bound on any single
+exponent: products add bounds, a sum takes their maximum (their total
+when it cross-multiplies), a power multiplies the bound by |k|. The bound
+is checked before each product or power; when it would reach `2**bits`
+the whole pass restarts at double the width, starting from 8 bits, so a
+high-degree input pays for a cheap aborted pass, not for a carry. `MultiPoly.__mul__` and `pow_int` pack their
+operands at the width their exponent bound needs and call the same kernel.
 
 The coefficient ring is Z everywhere: `simplify`'s univariate GCD is a
 primitive remainder sequence over Z. `Fraction` remains only where a value
@@ -49,6 +62,10 @@ from .expr import (
 Monomial = tuple[int, ...]
 SymbolTable = tuple[str, ...]
 
+# Largest main-variable degree that `collect_main_var` splits into a dense
+# tuple of degree + 1 coefficients (one script line each).
+MAX_DEGREE = 2**16
+
 
 class AlgebraError(Exception):
     """Base class for exact-arithmetic failures; may carry a character span."""
@@ -84,9 +101,14 @@ class MultiPoly:
 
     `terms` holds no zero coefficients and iterates in descending monomial
     order. All arithmetic assumes both operands share the same symbol
-    table; use `merge_tables`/`remap` to align values first. Products
-    multiply packed monomials (see `__mul__`). Only `eval` leaves Z: it
-    returns the exact `Fraction` value at a rational point.
+    table; use `merge_tables`/`remap` to align values first. `__mul__` and
+    `pow_int` pack both operands with fields as wide as the bit length of
+    the largest exponent the result can hold, run the packed kernel and
+    unpack the sorted result. `normalize` makes no `MultiPoly` until its
+    end: it computes on packed keys of 8-bit fields, doubles the width
+    whenever an exponent bound would reach it, and unpacks once (see the
+    module docstring). Only `eval` leaves Z: it returns the exact
+    `Fraction` value at a rational point.
     """
 
     symbols: SymbolTable
@@ -108,12 +130,6 @@ class MultiPoly:
             return cls(symbols, {})
         return cls(symbols, {(0,) * len(symbols): value})
 
-    @classmethod
-    def variable(cls, symbols: SymbolTable, name: str) -> MultiPoly:
-        exps = [0] * len(symbols)
-        exps[symbols.index(name)] = 1
-        return cls(symbols, {tuple(exps): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -132,64 +148,19 @@ class MultiPoly:
         i = self.symbols.index(name)
         return max(mono[i] for mono in self.terms)
 
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        assert self.symbols == other.symbols
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return MultiPoly.make(self.symbols, out)
-
     def __mul__(self, other: MultiPoly) -> MultiPoly:
-        """Product by the packed-exponent kernel.
-
-        Each monomial packs into one int with the first symbol in the most
-        significant field, so adding packed ints multiplies monomials and
-        int order is lex order. Fields are as wide as the bit length of
-        (largest exponent in `self`) + (largest exponent in `other`), which
-        bounds every exponent of the product, so no field carries into its
-        neighbour.
-        """
         assert self.symbols == other.symbols
-        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        if len(small.terms) <= 1:
-            return big._times_term(small)
-        bits = (max(map(max, self.terms)) + max(map(max, other.terms))).bit_length()
-        # The long operand is packed once and walked by the inner loop, so
-        # per-row overhead is paid len(small) times.
-        packed_big = [(_pack(m, bits), c) for m, c in big.terms.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for m, ca in small.terms.items():
-            ka = _pack(m, bits)
-            for kb, cb in packed_big:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-        mask = (1 << bits) - 1
-        shifts = range(bits * (len(self.symbols) - 1), -1, -bits)
-        terms = {}
-        for k in sorted(acc, reverse=True):
-            c = acc[k]
-            if c:
-                terms[tuple([k >> s & mask for s in shifts])] = c
-        return MultiPoly(self.symbols, terms)
+        bits = (self._max_exponent() + other._max_exponent()).bit_length() or 1
+        return _unpack(self.symbols, _mul(_pack(self, bits), _pack(other, bits)), bits)
 
-    def _times_term(self, p: MultiPoly) -> MultiPoly:
-        """Product with a polynomial of at most one term.
+    def pow_int(self, k: int) -> MultiPoly:
+        if k < 0:
+            raise ValueError("negative exponent on a polynomial")
+        bits = (self._max_exponent() * k).bit_length() or 1
+        return _unpack(self.symbols, _pow(_pack(self, bits), k), bits)
 
-        Multiplying every monomial by the same monomial keeps lex order,
-        so the terms need no re-sort.
-        """
-        if not p.terms:
-            return MultiPoly(self.symbols, {})
-        ((shift, factor),) = p.terms.items()
-        if any(shift):
-            return MultiPoly(
-                self.symbols,
-                {tuple([a + b for a, b in zip(m, shift)]): c * factor for m, c in self.terms.items()},
-            )
-        if factor == 1:
-            return self
-        return MultiPoly(self.symbols, {m: c * factor for m, c in self.terms.items()})
+    def _max_exponent(self) -> int:
+        return max(chain.from_iterable(self.terms), default=0)
 
     def div_monomial(self, g: Monomial) -> MultiPoly:
         """Quotient by a monomial dividing every term; lex order is kept."""
@@ -197,21 +168,6 @@ class MultiPoly:
             self.symbols,
             {tuple([e - d for e, d in zip(m, g)]): c for m, c in self.terms.items()},
         )
-
-    def pow_int(self, k: int) -> MultiPoly:
-        if k < 0:
-            raise ValueError("negative exponent on a polynomial")
-        if len(self.terms) == 1:
-            ((mono, c),) = self.terms.items()
-            return MultiPoly(self.symbols, {tuple([e * k for e in mono]): c**k})
-        result = MultiPoly.const(self.symbols, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
         for name in self.symbols:
@@ -228,11 +184,74 @@ class MultiPoly:
         return total
 
 
-def _pack(mono: Monomial, bits: int) -> int:
-    key = 0
-    for e in mono:
-        key = key << bits | e
-    return key
+Packed = dict[int, int]
+
+
+def _mul(a: Packed, b: Packed) -> Packed:
+    """Schoolbook product of packed term dicts; zero-free operands give a
+    zero-free result.
+
+    Keys must be packed at a width that holds every exponent of the
+    product, so that adding keys multiplies monomials with no carry.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((kb, cb),) = b.items()
+        return {ka + kb: ca * cb for ka, ca in a.items()}
+    # The long operand is walked by the inner loop, so per-row overhead is
+    # paid len(b) times.
+    acc: Packed = {}
+    get = acc.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return _nonzero(acc)
+
+
+def _pow(a: Packed, k: int) -> Packed:
+    """`a**k` for k >= 0 by left-to-right squaring over `_mul`.
+
+    Each step multiplies by `a` itself, not by one of its large powers.
+    """
+    if len(a) == 1:
+        ((key, c),) = a.items()
+        return {key * k: c**k}
+    if not k:
+        return {0: 1}
+    result = a
+    for bit in bin(k)[3:]:
+        result = _mul(result, result)
+        if bit == "1":
+            result = _mul(result, a)
+    return result
+
+
+def _nonzero(terms: Packed) -> Packed:
+    if 0 in terms.values():
+        return {key: c for key, c in terms.items() if c}
+    return terms
+
+
+def _pack(p: MultiPoly, bits: int) -> Packed:
+    packed = {}
+    for mono, c in p.terms.items():
+        key = 0
+        for e in mono:
+            key = key << bits | e
+        packed[key] = c
+    return packed
+
+
+def _unpack(symbols: SymbolTable, packed: Packed, bits: int) -> MultiPoly:
+    """The polynomial of `bits`-bit fields, its terms sorted once."""
+    mask = (1 << bits) - 1
+    shifts = range(bits * (len(symbols) - 1), -1, -bits)
+    return MultiPoly(
+        symbols,
+        {tuple([key >> s & mask for s in shifts]): packed[key] for key in sorted(packed, reverse=True)},
+    )
 
 
 def monomial_gcd(monos: Iterable[Monomial]) -> Monomial | None:
@@ -250,7 +269,10 @@ def merge_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
 
 
 def remap(p: MultiPoly, symbols: SymbolTable) -> MultiPoly:
-    """Re-express `p` over a superset symbol table."""
+    """Re-express `p` over a superset symbol table.
+
+    The inserted columns are zero in every term, so lex order is kept.
+    """
     if p.symbols == symbols:
         return p
     positions = [symbols.index(name) for name in p.symbols]
@@ -261,7 +283,7 @@ def remap(p: MultiPoly, symbols: SymbolTable) -> MultiPoly:
         for pos, e in zip(positions, mono):
             exps[pos] = e
         out[tuple(exps)] = c
-    return MultiPoly.make(symbols, out)
+    return MultiPoly(symbols, out)
 
 
 @dataclass(frozen=True)
@@ -318,9 +340,9 @@ def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         return num, den
     symbols = tuple(num.symbols[i] for i in used)
 
+    # The dropped columns are zero in every term, so lex order is kept.
     def project(p: MultiPoly) -> MultiPoly:
-        out = {tuple(m[i] for i in used): c for m, c in p.terms.items()}
-        return MultiPoly.make(symbols, out)
+        return MultiPoly(symbols, {tuple([m[i] for i in used]): c for m, c in p.terms.items()})
 
     return project(num), project(den)
 
@@ -334,84 +356,109 @@ def _cancel_common_monomial(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, 
     return num.div_monomial(g), den.div_monomial(g)
 
 
+class _Widen(Exception):
+    """An exponent bound reached the packed field; retry at a wider one."""
+
+
+def _fits(bound: int, limit: int) -> int:
+    if bound >= limit:
+        raise _Widen
+    return bound
+
+
 def normalize(e: Expr) -> RatFunc:
     """Flatten an expression into canonical rational-function form.
 
     Every Power exponent must normalize to an integer constant; negative
     exponents contribute to the denominator and Quotient nodes merge by
-    cross-multiplication.
+    cross-multiplication. The arithmetic runs on packed keys of 8-bit
+    fields; a pass whose exponent bound outgrows the fields restarts at
+    twice the width (see the module docstring).
     """
     table = tuple(sorted(symbols_of(e)))
-    num, den = _to_num_den(e, table)
-    return make_ratfunc(num, den, span=getattr(e, "span", None))
+    bits = 8
+    while True:
+        keys = {name: 1 << bits * i for i, name in enumerate(reversed(table))}
+        try:
+            num, den, _ = _to_num_den(e, keys, 1 << bits)
+            break
+        except _Widen:
+            bits *= 2
+    span = getattr(e, "span", None)
+    return make_ratfunc(_unpack(table, num, bits), _unpack(table, den, bits), span)
 
 
-def _to_num_den(e: Expr, table: SymbolTable) -> tuple[MultiPoly, MultiPoly]:
-    one = MultiPoly.const(table, 1)
+def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, Packed, int]:
+    """Packed numerator, denominator and a bound on any single exponent.
+
+    `keys` maps each symbol to its packed key, and every exponent must stay
+    below `limit`, the size of one field.
+    """
     if isinstance(e, IntegerLit):
-        return MultiPoly.const(table, e.value), one
+        return ({0: e.value} if e.value else {}), {0: 1}, 0
     if isinstance(e, RationalLit):
-        return MultiPoly.const(table, e.numerator), MultiPoly.const(table, e.denominator)
+        return ({0: e.numerator} if e.numerator else {}), {0: e.denominator}, 0
     if isinstance(e, SymbolRef):
-        return MultiPoly.variable(table, e.name), one
+        return {keys[e.name]: 1}, {0: 1}, 1
     if isinstance(e, Sum):
-        # While every denominator so far is 1, numerators add in place:
-        # cross-multiplying by 1 would cost a product and a re-sort per term.
-        acc: dict[Monomial, int] = {}
-        num = den = None
+        # Numerators add in place; only a denominator other than 1 costs
+        # the cross-multiplication acc/den + tn/td = (acc*td + tn*den)/(den*td).
+        acc: Packed = {}
+        den: Packed = {0: 1}
+        bound = 0
         for term in e.terms:
-            tn, td = _to_num_den(term, table)
-            if den is None:
-                if td.terms == one.terms:
-                    for m, c in tn.terms.items():
-                        acc[m] = acc.get(m, 0) + c
-                    continue
-                num, den = MultiPoly.make(table, acc), one
-            num = num * td + tn * den
-            den = den * td
-        if den is None:
-            return MultiPoly.make(table, acc), one
-        return num, den
+            tn, td, tb = _to_num_den(term, keys, limit)
+            if td == den == {0: 1}:
+                bound = max(bound, tb)
+            else:
+                bound = _fits(bound + tb, limit)
+                acc, tn, den = _mul(acc, td), _mul(tn, den), _mul(den, td)
+            for k, c in tn.items():
+                acc[k] = acc.get(k, 0) + c
+        return _nonzero(acc), den, bound
     if isinstance(e, Product):
-        num, den = _to_num_den(e.factors[0], table)
+        num, den, bound = _to_num_den(e.factors[0], keys, limit)
         for factor in e.factors[1:]:
-            fn, fd = _to_num_den(factor, table)
-            num = num * fn
-            den = den * fd
-        return num, den
+            fn, fd, fb = _to_num_den(factor, keys, limit)
+            bound = _fits(bound + fb, limit)
+            num = _mul(num, fn)
+            den = _mul(den, fd)
+        return num, den, bound
     if isinstance(e, Quotient):
-        num, den = _to_num_den(e.numerator, table)
-        dn, dd = _to_num_den(e.denominator, table)
-        if dn.is_zero():
+        num, den, nb = _to_num_den(e.numerator, keys, limit)
+        dn, dd, db = _to_num_den(e.denominator, keys, limit)
+        if not dn:
             raise ZeroDenominator(
                 "denominator is identically zero",
                 getattr(e.denominator, "span", None) or e.span,
             )
-        return num * dd, den * dn
+        bound = _fits(nb + db, limit)
+        return _mul(num, dd), _mul(den, dn), bound
     if isinstance(e, Power):
-        en, ed = _to_num_den(e.exponent, table)
+        en, ed, _ = _to_num_den(e.exponent, keys, limit)
         k = _integer_constant(en, ed)
         if k is None:
             raise SymbolicExponent(
                 "exponent does not normalize to an integer constant",
                 getattr(e.exponent, "span", None) or e.span,
             )
-        bn, bd = _to_num_den(e.base, table)
+        bn, bd, bound = _to_num_den(e.base, keys, limit)
+        bound = _fits(bound * abs(k), limit)
         if k >= 0:
-            return bn.pow_int(k), bd.pow_int(k)
-        if bn.is_zero():
+            return _pow(bn, k), _pow(bd, k), bound
+        if not bn:
             raise ZeroDenominator(
                 "zero raised to a negative power",
                 getattr(e.base, "span", None) or e.span,
             )
-        return bd.pow_int(-k), bn.pow_int(-k)
+        return _pow(bd, -k), _pow(bn, -k), bound
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _integer_constant(num: MultiPoly, den: MultiPoly) -> int | None:
-    if not (num.is_constant() and den.is_constant()):
+def _integer_constant(num: Packed, den: Packed) -> int | None:
+    if any(num) or any(den):
         return None
-    k, rest = divmod(num.constant_value(), den.constant_value())
+    k, rest = divmod(num.get(0, 0), den[0])
     return None if rest else k
 
 
@@ -457,6 +504,10 @@ def _var_coefficients(r: RatFunc, var: str) -> tuple[RatFunc, ...]:
     )
 
     degree = max(buckets) if buckets else 0
+    if degree > MAX_DEGREE:
+        raise AlgebraError(
+            f"degree {degree} in '{var}' is above the limit of {MAX_DEGREE}"
+        )
     coeffs = []
     for k in range(degree + 1):
         bucket = buckets.get(k)

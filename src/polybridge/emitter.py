@@ -76,7 +76,8 @@ def _poly_text(p: MultiPoly) -> tuple[str, bool]:
     if p.is_zero():
         return "0", False
     if len(p.terms) > 1:
-        common = monomial_gcd(p.terms)
+        # A constant term, if any, comes last and ends the scan at once.
+        common = monomial_gcd(reversed(p.terms))
         if common is not None:
             head = "*".join(_monomial_text(p.symbols, common))
             return f"{head}*({_sum_text(p.div_monomial(common))})", False

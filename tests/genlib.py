@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Callable
 
 from polybridge import eval_at
-from polybridge.algebra import DivisionByZeroAtPoint, MultiPoly, RatFunc, make_ratfunc
+from polybridge.algebra import (
+    DivisionByZeroAtPoint,
+    MultiPoly,
+    RatFunc,
+    SymbolicExponent,
+    ZeroDenominator,
+    make_ratfunc,
+)
 from polybridge.expr import (
     Expr,
     IntegerLit,
@@ -19,6 +27,7 @@ from polybridge.expr import (
     SymbolRef,
     make_product,
     make_sum,
+    symbols_of,
 )
 
 SYMBOL_POOL = ("a", "b", "c", "t", "u", "w")
@@ -192,3 +201,73 @@ def degree_by_finite_differences(
         ys = [b - a for a, b in zip(ys, ys[1:])]
         level += 1
     return max(level - 1, 0)
+
+
+def reference_num_den(e: Expr) -> tuple[MultiPoly, MultiPoly]:
+    """Unreduced numerator and denominator of `e`, built on exponent tuples.
+
+    This is the tuple-keyed reduction that `normalize` ran before it moved
+    to packed keys, kept as an oracle: it builds values with `MultiPoly(...)`,
+    `*` and `pow_int` only, so `make_ratfunc(*reference_num_den(e))` must
+    equal `normalize(e)` term for term and in the same order.
+    """
+    return _reference(e, tuple(sorted(symbols_of(e))))
+
+
+def _sorted_poly(table: tuple[str, ...], raw: dict) -> MultiPoly:
+    return MultiPoly(table, dict(sorted(((m, c) for m, c in raw.items() if c), reverse=True)))
+
+
+def _reference(e: Expr, table: tuple[str, ...]) -> tuple[MultiPoly, MultiPoly]:
+    zero = (0,) * len(table)
+    one = MultiPoly(table, {zero: 1})
+    if isinstance(e, IntegerLit):
+        return _sorted_poly(table, {zero: e.value}), one
+    if isinstance(e, RationalLit):
+        return _sorted_poly(table, {zero: e.numerator}), _sorted_poly(table, {zero: e.denominator})
+    if isinstance(e, SymbolRef):
+        return MultiPoly(table, {tuple(int(s == e.name) for s in table): 1}), one
+    if isinstance(e, Sum):
+        acc: dict = {}
+        num = den = None
+        for term in e.terms:
+            tn, td = _reference(term, table)
+            if den is None:
+                if td.terms == one.terms:
+                    for m, c in tn.terms.items():
+                        acc[m] = acc.get(m, 0) + c
+                    continue
+                num, den = _sorted_poly(table, acc), one
+            total = dict((num * td).terms)
+            for m, c in (tn * den).terms.items():
+                total[m] = total.get(m, 0) + c
+            num, den = _sorted_poly(table, total), den * td
+        if den is None:
+            return _sorted_poly(table, acc), one
+        return num, den
+    if isinstance(e, Product):
+        num, den = _reference(e.factors[0], table)
+        for factor in e.factors[1:]:
+            fn, fd = _reference(factor, table)
+            num, den = num * fn, den * fd
+        return num, den
+    if isinstance(e, Quotient):
+        num, den = _reference(e.numerator, table)
+        dn, dd = _reference(e.denominator, table)
+        if not dn.terms:
+            raise ZeroDenominator("denominator is identically zero")
+        return num * dd, den * dn
+    if isinstance(e, Power):
+        en, ed = _reference(e.exponent, table)
+        if any(any(m) for m in chain(en.terms, ed.terms)):
+            raise SymbolicExponent("exponent does not normalize to an integer constant")
+        k, rest = divmod(en.terms.get(zero, 0), ed.terms[zero])
+        if rest:
+            raise SymbolicExponent("exponent does not normalize to an integer constant")
+        bn, bd = _reference(e.base, table)
+        if k >= 0:
+            return bn.pow_int(k), bd.pow_int(k)
+        if not bn.terms:
+            raise ZeroDenominator("zero raised to a negative power")
+        return bd.pow_int(-k), bn.pow_int(-k)
+    raise TypeError(repr(e))

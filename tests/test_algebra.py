@@ -1,5 +1,7 @@
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -21,13 +23,25 @@ from polybridge.algebra import (
     DivisionByZeroAtPoint,
     MultiPoly,
     NotPolynomialInVar,
+    RatFunc,
     SymbolicExponent,
     UnboundSymbol,
     ZeroDenominator,
     _exact_quotient,
+    _to_num_den,
     make_ratfunc,
 )
-from polybridge.expr import IntegerLit, Power, Product, SymbolRef, make_product, make_sum
+from polybridge.expr import (
+    IntegerLit,
+    Power,
+    Product,
+    Quotient,
+    RationalLit,
+    Sum,
+    SymbolRef,
+    make_product,
+    make_sum,
+)
 
 from genlib import (
     degree_by_finite_differences,
@@ -36,6 +50,7 @@ from genlib import (
     rand_main_var_poly_expr,
     rand_point,
     rand_ratfunc,
+    reference_num_den,
 )
 
 
@@ -562,3 +577,88 @@ class TestPackedProduct:
                     for _ in range(k):
                         want = naive_product(want, base.terms)
                     assert_same_terms(base.pow_int(k), want)
+
+
+def assert_identical(got: RatFunc, want: RatFunc):
+    for g, w in ((got.numerator, want.numerator), (got.denominator, want.denominator)):
+        assert g.symbols == w.symbols
+        assert_same_terms(g, w.terms)
+
+
+def power(base, k):
+    return Power(base, IntegerLit(k))
+
+
+def plus(*terms):
+    return Sum(terms)
+
+
+# Exponent bounds on both sides of the 8-bit and 16-bit packed fields.
+BOUND_EDGES = (255, 256, 65535, 65536)
+
+
+def edge_cases(rng: Random, bound: int, s: str, others: tuple[str, str]) -> list:
+    """Expressions whose exponent bound is `bound`, reached by symbol `s`.
+
+    The other two symbols occur only in sums, whose bound is the largest of
+    their terms', so they do not raise it.
+    """
+    S, (R, B) = SymbolRef(s), (SymbolRef(n) for n in others)
+    j = rng.randint(1, bound - 1)
+    q = rng.choice([q for q in (2, 3, 4, 5) if bound % q == 0])
+    m = bound // q
+    return [
+        # Product: bounds add, (E-j) + j.
+        Product((plus(power(S, bound - j), R), plus(power(S, j), IntegerLit(-3), B))),
+        # Power and negative Power: the base's bound times |k|.
+        power(plus(power(S, m), R, B, IntegerLit(1)), q),
+        power(plus(power(S, m), IntegerLit(-2), R, B), -q),
+        # Quotient of quotients: the numerator takes s^(E-j) * s^j.
+        Quotient(
+            Quotient(plus(power(S, bound - j), R), IntegerLit(3)),
+            Quotient(IntegerLit(5), plus(power(S, j), IntegerLit(2), B)),
+        ),
+        # Sum over non-unit denominators cross-multiplies them.
+        plus(
+            Quotient(plus(power(S, bound - j), R), IntegerLit(3)),
+            Quotient(IntegerLit(5), plus(power(S, j), IntegerLit(2), B)),
+            RationalLit(1, 7),
+        ),
+    ]
+
+
+class TestPackedNormalize:
+    def test_matches_tuple_reference_term_for_term(self):
+        rng = Random(131)
+        trees = [rand_expr_tree(rng, 3, ("a", "b", "x")) for _ in range(300)]
+        trees += [rand_main_var_poly_expr(rng)[0] for _ in range(200)]
+        for tree in trees:
+            try:
+                want = make_ratfunc(*reference_num_den(tree))
+            except ZeroDenominator:
+                with pytest.raises(ZeroDenominator):
+                    normalize(tree)
+                continue
+            assert_identical(normalize(tree), want)
+
+    def test_det3x3_matches_tuple_reference(self):
+        tree = parse((Path(__file__).parent / "fixtures" / "det3x3.txt").read_text())
+        assert_identical(normalize(tree), make_ratfunc(*reference_num_den(tree)))
+
+    def test_exponent_bounds_at_field_width_edges(self):
+        rng = Random(137)
+        names = ("a", "b", "c")
+        wide = {name: 1 << 64 * i for i, name in enumerate(reversed(names))}
+        for bound in BOUND_EDGES:
+            # The largest exponent sits in the most and in the least
+            # significant field of the packed key.
+            for s in ("a", "c"):
+                others = tuple(rng.sample([n for n in names if n != s], 2))
+                for tree in edge_cases(rng, bound, s, others):
+                    assert _to_num_den(tree, wide, 1 << 64)[2] == bound
+                    got = normalize(tree)
+                    assert got.numerator.symbols == names
+                    assert max(map(max, chain(got.numerator.terms, got.denominator.terms))) == bound
+                    for _ in range(2):
+                        point, want = eval_at_valid_point(rng, tree, names)
+                        assert eval_at(got, point) == want

@@ -174,6 +174,20 @@ class TestErrorContracts:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["script", "vector"])
+    def test_degree_above_limit_exits_3(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(polybridge.algebra, "MAX_DEGREE", 5)
+        code, out, err = invoke(monkeypatch, capsys, ["--format", fmt], stdin="a*x^6+1")
+        assert (code, out) == (3, "")
+        assert err == "error: degree 6 in 'x' is above the limit of 5\n"
+        code, out, _ = invoke(monkeypatch, capsys, ["--format", fmt], stdin="a*x^5+1")
+        assert code == 0 and out
+
+    def test_degree_limit_leaves_expr_format_alone(self, monkeypatch, capsys):
+        monkeypatch.setattr(polybridge.algebra, "MAX_DEGREE", 5)
+        code, out, _ = invoke(monkeypatch, capsys, ["--format", "expr"], stdin="a*x^6+1")
+        assert (code, out) == (0, "a*x^6+1\n")
+
     def test_parse_error_exits_2_with_line_column(self, monkeypatch, capsys):
         code, out, err = invoke(monkeypatch, capsys, [], stdin="(x+1")
         assert code == 2
