@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .expr import (
@@ -331,12 +332,17 @@ def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> Ra
 
 
 def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    used = [
-        i
-        for i in range(len(num.symbols))
-        if any(m[i] for m in num.terms) or any(m[i] for m in den.terms)
-    ]
-    if len(used) == len(num.symbols):
+    # A column is used if some term has a nonzero exponent in it. Few terms
+    # over many columns transpose in one zip; many terms are scanned column
+    # by column, each scan stopping at its first nonzero exponent.
+    nt, dt, width = num.terms, den.terms, len(num.symbols)
+    if len(nt) + len(dt) <= width:
+        used = list(compress(range(width), map(any, zip(*nt, *dt))))
+    else:
+        used = [
+            i for i in range(width) if any(map(itemgetter(i), nt)) or any(map(itemgetter(i), dt))
+        ]
+    if len(used) == width:
         return num, den
     symbols = tuple(num.symbols[i] for i in used)
 
@@ -388,27 +394,64 @@ def normalize(e: Expr) -> RatFunc:
     return make_ratfunc(_unpack(table, num, bits), _unpack(table, den, bits), span)
 
 
+# The packed constant 1, to compare a denominator against.
+_ONE: Packed = {0: 1}
+
+
 def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, Packed, int]:
     """Packed numerator, denominator and a bound on any single exponent.
 
     `keys` maps each symbol to its packed key, and every exponent must stay
-    below `limit`, the size of one field.
+    below `limit`, the size of one field. Nodes dispatch on their exact
+    type, the most frequent first; a denominator equal to 1 is passed on,
+    not multiplied. No term dict is mutated once returned.
     """
-    if isinstance(e, IntegerLit):
-        return ({0: e.value} if e.value else {}), {0: 1}, 0
-    if isinstance(e, RationalLit):
-        return ({0: e.numerator} if e.numerator else {}), {0: e.denominator}, 0
-    if isinstance(e, SymbolRef):
-        return {keys[e.name]: 1}, {0: 1}, 1
-    if isinstance(e, Sum):
+    t = type(e)
+    if t is Product:
+        factors = e.factors
+        num, den, bound = _to_num_den(factors[0], keys, limit)
+        for i in range(1, len(factors)):
+            fn, fd, fb = _to_num_den(factors[i], keys, limit)
+            bound = _fits(bound + fb, limit)
+            num = _mul(num, fn)
+            if fd != _ONE:
+                den = _mul(den, fd)
+        return num, den, bound
+    if t is SymbolRef:
+        return {keys[e.name]: 1}, _ONE, 1
+    if t is IntegerLit:
+        return ({0: e.value} if e.value else {}), _ONE, 0
+    if t is Power:
+        exponent = e.exponent
+        if type(exponent) is IntegerLit:
+            k = exponent.value
+        else:
+            en, ed, _ = _to_num_den(exponent, keys, limit)
+            k = _integer_constant(en, ed)
+            if k is None:
+                raise SymbolicExponent(
+                    "exponent does not normalize to an integer constant",
+                    getattr(exponent, "span", None) or e.span,
+                )
+        bn, bd, bound = _to_num_den(e.base, keys, limit)
+        bound = _fits(bound * abs(k), limit)
+        if k >= 0:
+            return _pow(bn, k), (bd if bd == _ONE else _pow(bd, k)), bound
+        if not bn:
+            raise ZeroDenominator(
+                "zero raised to a negative power",
+                getattr(e.base, "span", None) or e.span,
+            )
+        return _pow(bd, -k), _pow(bn, -k), bound
+    if t is Sum:
         # Numerators add in place; only a denominator other than 1 costs
         # the cross-multiplication acc/den + tn/td = (acc*td + tn*den)/(den*td).
         acc: Packed = {}
-        den: Packed = {0: 1}
+        den = _ONE
         bound = 0
         for term in e.terms:
             tn, td, tb = _to_num_den(term, keys, limit)
-            if td == den == {0: 1}:
+            if td == den == _ONE:
                 bound = max(bound, tb)
             else:
                 bound = _fits(bound + tb, limit)
@@ -416,15 +459,7 @@ def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, P
             for k, c in tn.items():
                 acc[k] = acc.get(k, 0) + c
         return _nonzero(acc), den, bound
-    if isinstance(e, Product):
-        num, den, bound = _to_num_den(e.factors[0], keys, limit)
-        for factor in e.factors[1:]:
-            fn, fd, fb = _to_num_den(factor, keys, limit)
-            bound = _fits(bound + fb, limit)
-            num = _mul(num, fn)
-            den = _mul(den, fd)
-        return num, den, bound
-    if isinstance(e, Quotient):
+    if t is Quotient:
         num, den, nb = _to_num_den(e.numerator, keys, limit)
         dn, dd, db = _to_num_den(e.denominator, keys, limit)
         if not dn:
@@ -433,25 +468,9 @@ def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, P
                 getattr(e.denominator, "span", None) or e.span,
             )
         bound = _fits(nb + db, limit)
-        return _mul(num, dd), _mul(den, dn), bound
-    if isinstance(e, Power):
-        en, ed, _ = _to_num_den(e.exponent, keys, limit)
-        k = _integer_constant(en, ed)
-        if k is None:
-            raise SymbolicExponent(
-                "exponent does not normalize to an integer constant",
-                getattr(e.exponent, "span", None) or e.span,
-            )
-        bn, bd, bound = _to_num_den(e.base, keys, limit)
-        bound = _fits(bound * abs(k), limit)
-        if k >= 0:
-            return _pow(bn, k), _pow(bd, k), bound
-        if not bn:
-            raise ZeroDenominator(
-                "zero raised to a negative power",
-                getattr(e.base, "span", None) or e.span,
-            )
-        return _pow(bd, -k), _pow(bn, -k), bound
+        return (num if dd == _ONE else _mul(num, dd)), _mul(den, dn), bound
+    if t is RationalLit:
+        return ({0: e.numerator} if e.numerator else {}), {0: e.denominator}, 0
     raise TypeError(f"not an expression node: {e!r}")
 
 

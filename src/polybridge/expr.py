@@ -119,18 +119,20 @@ def symbols_of(e: Expr) -> set[str]:
     """All symbol names occurring anywhere in the expression."""
     out: set[str] = set()
     stack = [e]
+    # Exact-type dispatch, the most frequent node types first.
     while stack:
         node = stack.pop()
-        if isinstance(node, SymbolRef):
+        t = type(node)
+        if t is SymbolRef:
             out.add(node.name)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, Product):
+        elif t is Product:
             stack.extend(node.factors)
-        elif isinstance(node, Power):
+        elif t is Power:
             stack.append(node.base)
             stack.append(node.exponent)
-        elif isinstance(node, Quotient):
+        elif t is Sum:
+            stack.extend(node.terms)
+        elif t is Quotient:
             stack.append(node.numerator)
             stack.append(node.denominator)
     return out

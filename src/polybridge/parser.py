@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for a CAS-flavored input syntax.
+"""Tokenizer and explicit-stack parser for a CAS-flavored input syntax.
 
 Grammar, tightest binding first:
 
@@ -17,6 +17,11 @@ or a single Greek letter followed by ASCII letters/digits/underscores;
 Digits are ASCII ``0-9``; decimal literals are converted to exact
 rationals. Square brackets (and any other punctuation) are rejected:
 function application is unsupported.
+
+`parse` reads the tokens in one loop (precedence climbing, Norvell,
+"Parsing Expressions by Recursive Descent", 1999) and keeps each open
+parenthesis's state on an explicit stack, so nesting depth is bounded by
+memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -97,6 +102,8 @@ def _parse_error(message: str, span: Span) -> SourceError:
 
 def tokenize(text: str) -> list[Token]:
     """Lex text into tokens; spans are character offsets into `text`."""
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    new = tuple.__new__
     tokens: list[Token] = []
     append = tokens.append
     for m in _TOKEN.finditer(text):
@@ -108,8 +115,8 @@ def tokenize(text: str) -> list[Token]:
             # Token text is the identifier the escape denotes; the span
             # still covers the escape's source slice.
             tok = ESCAPE_TO_LETTER[m["escape"]] + text[m.end("escape") + 1 : m.end()]
-        append(Token(kind, tok, m.span()))
-    append(Token(END, "", (len(text), len(text))))
+        append(new(Token, (kind, tok, m.span())))
+    append(new(Token, (END, "", (len(text), len(text)))))
     return tokens
 
 
@@ -135,131 +142,119 @@ def _bad_token(text: str, m: re.Match) -> SourceError:
     return _lex_error(f"unsupported character {bad!r}", (start, end))
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def sum(self) -> Expr:
-        first = self.product()
-        terms = [first]
-        start = _start(first)
-        while self.peek().kind in (PLUS, MINUS):
-            op = self.advance()
-            rhs = self.product()
-            if op.kind == MINUS:
-                rhs = negate(rhs, (op.span[0], _end(rhs)))
-            terms.append(rhs)
-        return make_sum(terms, (start, _end(terms[-1])))
-
-    def product(self) -> Expr:
-        factors = [self.unary()]
-        start = _start(factors[0])
-        while True:
-            tok = self.peek()
-            if tok.kind == STAR:
-                self.advance()
-                factors.append(self.unary())
-            elif tok.kind == SLASH:
-                self.advance()
-                rhs = self.unary()
-                lhs = make_product(factors, (start, _end(factors[-1])))
-                factors = [Quotient(lhs, rhs, (start, _end(rhs)))]
-            elif tok.kind in _PRIMARY_START:
-                factors.append(self.power())
-            else:
-                break
-        return make_product(factors, (start, _end(factors[-1])))
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == MINUS:
-            self.advance()
-            operand = self.unary()
-            return negate(operand, (tok.span[0], _end(operand)))
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.primary()
-        if self.peek().kind == CARET:
-            self.advance()
-            exponent = self.power()
-            return Power(base, exponent, (_start(base), _end(exponent)))
-        return base
-
-    def primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == INTEGER or tok.kind == DECIMAL:
-            self.advance()
-            try:
-                if tok.kind == INTEGER:
-                    return IntegerLit(int(tok.text), tok.span)
-                value = Fraction(tok.text)
-            except ValueError:
-                # Only Python's int/str digit limit rejects [0-9.] text.
-                raise _parse_error(
-                    "number is too long: Python converts at most "
-                    f"{sys.get_int_max_str_digits()} digits",
-                    tok.span,
-                ) from None
-            if value.denominator == 1:
-                return IntegerLit(value.numerator, tok.span)
-            return RationalLit(value.numerator, value.denominator, tok.span)
-        if tok.kind == IDENTIFIER:
-            self.advance()
-            return SymbolRef(tok.text, tok.span)
-        if tok.kind == LPAREN:
-            lparen = self.advance()
-            inner = self.sum()
-            if self.peek().kind != RPAREN:
-                raise _parse_error(
-                    "missing ')' for the parenthesis opened here", lparen.span
-                )
-            self.advance()
-            return inner
-        if tok.kind == END:
-            raise _parse_error("unexpected end of input", tok.span)
-        raise _parse_error(
-            f"expected an expression, found {tok.text!r}", tok.span
-        )
+def _too_long(span: Span) -> SourceError:
+    # Only Python's int/str digit limit rejects [0-9.] text.
+    return _parse_error(
+        f"number is too long: Python converts at most {sys.get_int_max_str_digits()} digits",
+        span,
+    )
 
 
-def _start(e: Expr) -> int:
-    return e.span[0] if e.span else 0
-
-
-def _end(e: Expr) -> int:
-    return e.span[1] if e.span else 0
+def _decimal(text: str, span: Span) -> Expr:
+    try:
+        value = Fraction(text)
+    except ValueError:
+        raise _too_long(span) from None
+    if value.denominator == 1:
+        return IntegerLit(value.numerator, span)
+    return RationalLit(value.numerator, value.denominator, span)
 
 
 def parse(input_text: str) -> Expr:
     """Parse text into an expression tree.
 
     Raises SourceError (kind "lex" or "parse") with a character span on any
-    malformed input, including empty input. The parser recurses, so input
-    nested deeper than Python's recursion limit (~200 parentheses) raises a
-    bare RecursionError, as do `normalize`, `collect_main_var` and
-    `substitute` on such a tree; only `cli.run` maps it to exit 3.
+    malformed input, including empty input. The parser keeps its state on
+    an explicit stack, so nesting depth is bounded by memory alone; the
+    tree walks of `normalize`, `collect_main_var`, `substitute` and
+    `eval_at` still recurse and raise a bare RecursionError on a tree
+    nested deeper than Python's recursion limit (only `cli.run` maps it
+    to exit 3).
     """
     tokens = tokenize(input_text)
-    parser = _Parser(tokens)
-    if parser.peek().kind == END:
+    if tokens[0].kind == END:
         raise _parse_error("empty expression", (0, 0))
-    result = parser.sum()
-    trailing = parser.peek()
-    if trailing.kind != END:
-        raise _parse_error(
-            f"unexpected {trailing.text!r} after the expression", trailing.span
-        )
-    return result
+    # One loop over the tokens. Each open parenthesis pushes the state of
+    # the enclosing one: the sum's terms, the pending binary '-' of the
+    # current term, the product's factors, whether a '/' is pending, the
+    # unary-minus starts and the '^' bases of the current factor.
+    stack: list[tuple] = []
+    terms: list[Expr] = []
+    neg: int | None = None
+    factors: list[Expr] = []
+    div = False
+    minuses: list[int] = []
+    bases: list[Expr] = []
+    pos = 0
+    while True:
+        # An operand: unary minuses (not in a '^' exponent), then a primary.
+        kind, text, span = tokens[pos]
+        pos += 1
+        if kind == IDENTIFIER:
+            operand = SymbolRef(text, span)
+        elif kind == INTEGER:
+            try:
+                operand = IntegerLit(int(text), span)
+            except ValueError:
+                raise _too_long(span) from None
+        elif kind == DECIMAL:
+            operand = _decimal(text, span)
+        elif kind == LPAREN:
+            stack.append((terms, neg, factors, div, minuses, bases, span))
+            terms, neg, factors, div, minuses, bases = [], None, [], False, [], []
+            continue
+        elif kind == MINUS and not bases:
+            minuses.append(span[0])
+            continue
+        elif kind == END:
+            raise _parse_error("unexpected end of input", span)
+        else:
+            raise _parse_error(f"expected an expression, found {text!r}", span)
+
+        # Close everything the operand completes, up to the next operand.
+        while True:
+            kind, text, span = tokens[pos]
+            if kind == CARET:
+                bases.append(operand)
+                pos += 1
+                break
+            while bases:
+                base = bases.pop()
+                operand = Power(base, operand, (base.span[0], operand.span[1]))
+            while minuses:
+                operand = negate(operand, (minuses.pop(), operand.span[1]))
+            if div:
+                lhs = make_product(factors, (factors[0].span[0], factors[-1].span[1]))
+                factors = [Quotient(lhs, operand, (lhs.span[0], operand.span[1]))]
+                div = False
+            else:
+                factors.append(operand)
+            if kind == STAR or kind == SLASH:
+                div = kind == SLASH
+                pos += 1
+                break
+            if kind in _PRIMARY_START:
+                break  # juxtaposition: a '*' with a power operand
+            term = make_product(factors, (factors[0].span[0], factors[-1].span[1]))
+            factors = []
+            if neg is not None:
+                term = negate(term, (neg, term.span[1]))
+                neg = None
+            terms.append(term)
+            if kind == PLUS or kind == MINUS:
+                if kind == MINUS:
+                    neg = span[0]
+                pos += 1
+                break
+            operand = make_sum(terms, (terms[0].span[0], terms[-1].span[1]))
+            if not stack:
+                if kind != END:
+                    raise _parse_error(f"unexpected {text!r} after the expression", span)
+                return operand
+            if kind != RPAREN:
+                raise _parse_error("missing ')' for the parenthesis opened here", stack[-1][6])
+            pos += 1
+            terms, neg, factors, div, minuses, bases, _ = stack.pop()
 
 
 def parse_identifier(text: str) -> str | None:

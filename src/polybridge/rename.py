@@ -10,6 +10,7 @@ whole identifiers only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import Expr, SymbolRef, substitute, symbols_of
 from .greek import LETTER_TO_NAME
@@ -39,14 +40,21 @@ class RenameSpec:
     entries: tuple[tuple[str, str], ...]
     source: str  # "defaults" | "file" | "inline"
 
+    @cached_property
+    def _exact(self) -> dict[str, str]:
+        """The entries as a whole-identifier lookup, built on first use."""
+        return dict(self.entries)
+
+
+_DEFAULT_GREEK = RenameSpec(tuple(sorted(LETTER_TO_NAME.items())), "defaults")
+
 
 def default_greek_map() -> RenameSpec:
-    entries = tuple(sorted(LETTER_TO_NAME.items()))
-    return RenameSpec(entries, "defaults")
+    return _DEFAULT_GREEK
 
 
-def _target_for(spec: RenameSpec, symbol: str, exact: dict[str, str]) -> str | None:
-    hit = exact.get(symbol)
+def _target_for(spec: RenameSpec, symbol: str) -> str | None:
+    hit = spec._exact.get(symbol)
     if hit is not None:
         return hit
     if spec.source == "defaults" and len(symbol) > 1:
@@ -65,12 +73,11 @@ def resolve_renames(symbols: set[str], specs: tuple[RenameSpec, ...]) -> dict[st
     target (identity mappings count: renaming β to beta while a symbol
     beta already exists would silently merge two quantities).
     """
-    exact = [dict(spec.entries) for spec in specs]
     mapping: dict[str, str] = {}
     for symbol in sorted(symbols):
         target = symbol
-        for spec, table in zip(specs, exact):
-            hit = _target_for(spec, symbol, table)
+        for spec in specs:
+            hit = _target_for(spec, symbol)
             if hit is not None:
                 target = hit
         mapping[symbol] = target

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain
 from random import Random
@@ -23,11 +24,30 @@ from polybridge.expr import (
     Product,
     Quotient,
     RationalLit,
+    Span,
     Sum,
     SymbolRef,
     make_product,
     make_sum,
+    negate,
     symbols_of,
+)
+from polybridge.parser import (
+    _PRIMARY_START,
+    CARET,
+    DECIMAL,
+    END,
+    IDENTIFIER,
+    INTEGER,
+    LPAREN,
+    MINUS,
+    PLUS,
+    RPAREN,
+    SLASH,
+    STAR,
+    SourceError,
+    Token,
+    tokenize,
 )
 
 SYMBOL_POOL = ("a", "b", "c", "t", "u", "w")
@@ -271,3 +291,184 @@ def _reference(e: Expr, table: tuple[str, ...]) -> tuple[MultiPoly, MultiPoly]:
             raise ZeroDenominator("zero raised to a negative power")
         return bd.pow_int(-k), bn.pow_int(-k)
     raise TypeError(repr(e))
+
+
+def _parse_error(message: str, span: Span) -> SourceError:
+    return SourceError(message, span, "parse")
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def sum(self) -> Expr:
+        first = self.product()
+        terms = [first]
+        start = _start(first)
+        while self.peek().kind in (PLUS, MINUS):
+            op = self.advance()
+            rhs = self.product()
+            if op.kind == MINUS:
+                rhs = negate(rhs, (op.span[0], _end(rhs)))
+            terms.append(rhs)
+        return make_sum(terms, (start, _end(terms[-1])))
+
+    def product(self) -> Expr:
+        factors = [self.unary()]
+        start = _start(factors[0])
+        while True:
+            tok = self.peek()
+            if tok.kind == STAR:
+                self.advance()
+                factors.append(self.unary())
+            elif tok.kind == SLASH:
+                self.advance()
+                rhs = self.unary()
+                lhs = make_product(factors, (start, _end(factors[-1])))
+                factors = [Quotient(lhs, rhs, (start, _end(rhs)))]
+            elif tok.kind in _PRIMARY_START:
+                factors.append(self.power())
+            else:
+                break
+        return make_product(factors, (start, _end(factors[-1])))
+
+    def unary(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == MINUS:
+            self.advance()
+            operand = self.unary()
+            return negate(operand, (tok.span[0], _end(operand)))
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.primary()
+        if self.peek().kind == CARET:
+            self.advance()
+            exponent = self.power()
+            return Power(base, exponent, (_start(base), _end(exponent)))
+        return base
+
+    def primary(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == INTEGER or tok.kind == DECIMAL:
+            self.advance()
+            try:
+                if tok.kind == INTEGER:
+                    return IntegerLit(int(tok.text), tok.span)
+                value = Fraction(tok.text)
+            except ValueError:
+                # Only Python's int/str digit limit rejects [0-9.] text.
+                raise _parse_error(
+                    "number is too long: Python converts at most "
+                    f"{sys.get_int_max_str_digits()} digits",
+                    tok.span,
+                ) from None
+            if value.denominator == 1:
+                return IntegerLit(value.numerator, tok.span)
+            return RationalLit(value.numerator, value.denominator, tok.span)
+        if tok.kind == IDENTIFIER:
+            self.advance()
+            return SymbolRef(tok.text, tok.span)
+        if tok.kind == LPAREN:
+            lparen = self.advance()
+            inner = self.sum()
+            if self.peek().kind != RPAREN:
+                raise _parse_error(
+                    "missing ')' for the parenthesis opened here", lparen.span
+                )
+            self.advance()
+            return inner
+        if tok.kind == END:
+            raise _parse_error("unexpected end of input", tok.span)
+        raise _parse_error(
+            f"expected an expression, found {tok.text!r}", tok.span
+        )
+
+
+def _start(e: Expr) -> int:
+    return e.span[0] if e.span else 0
+
+
+def _end(e: Expr) -> int:
+    return e.span[1] if e.span else 0
+
+
+def reference_parse(input_text: str) -> Expr:
+    """The recursive-descent parser that `parse` replaced, kept as an oracle.
+
+    One method per grammar level; it must give the same tree, spans and
+    `SourceError` as `parse` on any input shallow enough for its recursion.
+    """
+    tokens = tokenize(input_text)
+    parser = _ReferenceParser(tokens)
+    if parser.peek().kind == END:
+        raise _parse_error("empty expression", (0, 0))
+    result = parser.sum()
+    trailing = parser.peek()
+    if trailing.kind != END:
+        raise _parse_error(
+            f"unexpected {trailing.text!r} after the expression", trailing.span
+        )
+    return result
+
+
+def flat_tree(e: Expr) -> list[tuple]:
+    """Pre-order list of (node type, leaf value, child count, span).
+
+    Two trees are equal with their spans exactly when their lists are; the
+    walk uses an explicit stack, so any depth compares (dataclass `==` and
+    `repr` recurse).
+    """
+    out: list[tuple] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Sum, Product)):
+            children = node.terms if isinstance(node, Sum) else node.factors
+        elif isinstance(node, Power):
+            children = (node.base, node.exponent)
+        elif isinstance(node, Quotient):
+            children = (node.numerator, node.denominator)
+        else:
+            children = ()
+        if isinstance(node, IntegerLit):
+            leaf = node.value
+        elif isinstance(node, RationalLit):
+            leaf = (node.numerator, node.denominator)
+        elif isinstance(node, SymbolRef):
+            leaf = node.name
+        else:
+            leaf = None
+        out.append((type(node).__name__, leaf, len(children), node.span))
+        stack.extend(reversed(children))
+    return out
+
+
+def tree_depth(e: Expr) -> int:
+    """Number of nodes on the longest root-to-leaf path, found iteratively."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Sum):
+            children = node.terms
+        elif isinstance(node, Product):
+            children = node.factors
+        elif isinstance(node, Power):
+            children = (node.base, node.exponent)
+        elif isinstance(node, Quotient):
+            children = (node.numerator, node.denominator)
+        else:
+            continue
+        stack.extend((child, depth + 1) for child in children)
+    return deepest

@@ -460,6 +460,19 @@ class TestCanonicalInvariants:
                     assert gcd(*num.terms.values(), *den.terms.values()) == 1
                 assert den.leading()[1] > 0
 
+    @pytest.mark.parametrize("terms", [1, 2, 40])
+    def test_trimmed_tables_wide_and_narrow(self, terms):
+        # Each coefficient of c1*x+...+cn*x^n has fewer terms than columns;
+        # each of (a+b+c+x)^6's has more.
+        wide = "+".join(f"c{i}*x^{i}" for i in range(1, terms + 1))
+        coeffs = collect_main_var(parse(wide), "x").coeffs
+        want = [()] + [(f"c{i}",) for i in range(1, terms + 1)]
+        assert [r.numerator.symbols for r in coeffs] == want
+        narrow = collect_main_var(parse(f"(a+b+c+x)^6*(1+y-y)/{terms}"), "x").coeffs
+        assert [r.numerator.symbols for r in narrow] == [("a", "b", "c")] * 6 + [()]
+        for r in coeffs + narrow:
+            assert r.denominator.symbols == r.numerator.symbols
+
     def test_normalize_idempotent_at_representation_level(self):
         rng = Random(101)
         for _ in range(200):
@@ -643,6 +656,40 @@ class TestPackedNormalize:
 
     def test_det3x3_matches_tuple_reference(self):
         tree = parse((Path(__file__).parent / "fixtures" / "det3x3.txt").read_text())
+        assert_identical(normalize(tree), make_ratfunc(*reference_num_den(tree)))
+
+    @pytest.mark.parametrize(
+        "spelled, literal",
+        [("x^2", "x^2"), ("x^(4/2)", "x^2"), ("x^(1+1)", "x^2"), ("(2*x)^(3-1)", "(2*x)^2")],
+    )
+    def test_computed_exponent_equals_literal(self, spelled, literal):
+        # An IntegerLit exponent is read directly; any other normalizes first.
+        got = normalize(parse(spelled))
+        assert_identical(got, normalize(parse(literal)))
+        assert_identical(got, make_ratfunc(*reference_num_den(parse(spelled))))
+
+    def test_computed_exponent_value(self):
+        got = normalize(parse("(2*x)^(3-1)"))
+        assert (got.numerator.symbols, got.numerator.terms) == (("x",), {(2,): 4})
+        assert got.denominator.terms == {(0,): 1}
+
+    def test_fractional_exponent_keeps_its_span(self):
+        with pytest.raises(SymbolicExponent) as exc:
+            normalize(parse("x^(1/2)"))
+        assert exc.value.span == (3, 6)
+
+    def test_zero_to_negative_power_keeps_its_span(self):
+        # `0^-1` is a parse error ('^' takes a primary), so the exponent is
+        # parenthesized.
+        with pytest.raises(ZeroDenominator) as exc:
+            normalize(parse("0^(-1)"))
+        assert exc.value.span == (0, 1)
+
+    @pytest.mark.parametrize(
+        "text", ["x/1", "x/(2/2)", "(x/2)*y", "y*(x/2)*(1/3)", "(a/b)^2*(1/1)^3"]
+    )
+    def test_unit_denominators_skipped(self, text):
+        tree = parse(text)
         assert_identical(normalize(tree), make_ratfunc(*reference_num_den(tree)))
 
     def test_exponent_bounds_at_field_width_edges(self):

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polybridge import eval_at, normalize, parse, ratfunc_equal
+from polybridge.cli import _strip_statement_terminator
 from polybridge.expr import IntegerLit, Power, Product, Quotient, RationalLit, Sum, SymbolRef
 from polybridge.parser import (
     CARET,
@@ -19,7 +22,7 @@ from polybridge.parser import (
     tokenize,
 )
 
-from genlib import fully_parenthesized, rand_expr_tree
+from genlib import flat_tree, fully_parenthesized, rand_expr_tree, reference_parse, tree_depth
 
 
 def kinds(text):
@@ -252,3 +255,144 @@ class TestPrecedenceConformance:
             tree = rand_expr_tree(rng, depth=3, names=("a", "b", "x"))
             rendered = fully_parenthesized(tree)
             assert ratfunc_equal(normalize(parse(rendered)), normalize(tree))
+
+
+def outcome(parser, text):
+    """The tree with its spans, or the error's kind, message and span."""
+    try:
+        return "tree", flat_tree(parser(text))
+    except SourceError as err:
+        return "error", err.kind, err.message, err.span
+
+
+ATOMS = ("x", "y", "a1", "β", "\\[Beta]", "\\[CapitalOmega]b", "2", "10", "0.5", ".5", "3.")
+FRAGMENTS = ATOMS + (
+    "-", "--", "---", "+", "*", "/", "^", "(", ")", "()", "((", "))", ")(", " ",
+    "2x", "2 (", ")x", "a^-2", "a^b^c", "2^3^2", "a/b/c", "1/2/3", "x y", "1.2.3", "$",
+)
+
+
+def rand_source(rng: Random, depth: int) -> str:
+    """Mostly well-formed text: unary-minus chains, juxtaposition after ')'
+    and after numbers, '^' towers, '/' chains and parentheses."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(ATOMS)
+    kind = rng.randint(0, 5)
+    if kind == 0:
+        return "-" * rng.randint(1, 4) + rand_source(rng, depth - 1)
+    if kind == 1:
+        return "^".join(rng.choice(ATOMS) for _ in range(rng.randint(2, 4)))
+    if kind == 2:
+        return "(" + rand_source(rng, depth - 1) + ")"
+    op = rng.choice(("+", "-", "*", "/", "^", " ", "", " -"))
+    return rand_source(rng, depth - 1) + op + rand_source(rng, depth - 1)
+
+
+def rand_token_text(rng: Random) -> str:
+    if rng.random() < 0.4:
+        return "".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(0, 10)))
+    text = rand_source(rng, 4)
+    for _ in range(rng.randint(0, 2)):
+        # Delete, insert or truncate, which unbalances parentheses and leaves
+        # trailing operators.
+        i = rng.randint(0, len(text))
+        edit = rng.randint(0, 2)
+        if edit == 0:
+            text = text[:i] + text[i + 1 :]
+        elif edit == 1:
+            text = text[:i] + rng.choice(FRAGMENTS) + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def workload_inputs() -> list[str]:
+    """Every det3x3, flat_sum and notebook input of benchmark seeds 1-3."""
+    root = Path(__file__).resolve().parent.parent
+    path = root / "perfbench" / "workloads.py"
+    if not path.exists():
+        pytest.skip("perfbench/workloads.py is not in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = {}
+    for seed in (1, 2, 3):
+        for make in workloads.WORKLOADS.values():
+            for case in make(root, seed):
+                texts[case.text] = None
+    return [_strip_statement_terminator(t) for t in texts]
+
+
+class TestReferenceDifferential:
+    """`parse` against the recursive-descent parser it replaced."""
+
+    def test_random_token_streams(self):
+        rng = Random(2024)
+        kinds = {"tree": 0, "error": 0}
+        for _ in range(6000):
+            text = rand_token_text(rng)
+            expected = outcome(reference_parse, text)
+            assert outcome(parse, text) == expected, text
+            kinds[expected[0]] += 1
+        # Both outcomes are well represented.
+        assert min(kinds.values()) > 1500, kinds
+
+    def test_benchmark_inputs(self):
+        texts = workload_inputs()
+        assert len(texts) > 1000
+        errors = 0
+        for text in texts:
+            expected = outcome(reference_parse, text)
+            assert outcome(parse, text) == expected, text
+            errors += expected[0] == "error"
+        assert errors > 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "  ", "(", ")", "()", "(x", "x)", "x+", "-", "a^-2", "a^", "2^3^-1", "(x))", "((x)",
+         "a/b/c", "2 -x", "-x^2^y", "2x(y)3", "x 1.2.3", "9" * 5000],
+    )
+    def test_edge_cases(self, text):
+        assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+def minus_chain(n: int) -> list[tuple]:
+    """`flat_tree` of the parse of '-' * n + 'x'."""
+    expected = []
+    for i in range(n):
+        expected += [("Product", None, 2, (i, n + 1)), ("IntegerLit", -1, 0, None)]
+    return expected + [("SymbolRef", "x", 0, (n, n + 1))]
+
+
+class TestDeepInput:
+    """Nesting depth is bounded by memory, not by the recursion limit."""
+
+    def test_nested_parentheses(self):
+        n = 10_000
+        tree = parse("(" * n + "x" + ")" * n)
+        assert tree == SymbolRef("x")
+        assert tree.span == (n, n + 1)
+
+    def test_unclosed_parentheses_name_the_innermost(self):
+        with pytest.raises(SourceError) as exc:
+            parse("(" * 10_000 + "x")
+        assert (exc.value.kind, exc.value.message, exc.value.span) == (
+            "parse", "missing ')' for the parenthesis opened here", (9999, 10_000)
+        )
+
+    @pytest.mark.parametrize("n", [990, 5000])
+    def test_minus_chain(self, n):
+        tree = parse("-" * n + "x")
+        assert tree_depth(tree) == n + 1
+        assert flat_tree(tree) == minus_chain(n)
+
+    def test_power_tower(self):
+        n = 5000
+        tree = parse("^".join(["a"] * n))
+        assert tree_depth(tree) == n
+        expected = []
+        for i in range(n - 1):
+            expected.append(("Power", None, 2, (2 * i, 2 * n - 1)))
+            expected.append(("SymbolRef", "a", 0, (2 * i, 2 * i + 1)))
+        expected.append(("SymbolRef", "a", 0, (2 * n - 2, 2 * n - 1)))
+        assert flat_tree(tree) == expected

@@ -37,6 +37,19 @@ class TestDefaultGreekMap:
         assert len(entries) == 48
         assert all(target.isascii() for _, target in entries)
 
+    def test_built_once_and_sorted(self):
+        # One module-level spec: repeated conversions do not re-sort the table.
+        spec = default_greek_map()
+        assert spec is default_greek_map()
+        assert spec.source == "defaults"
+        assert spec.entries == tuple(sorted(spec.entries))
+
+    def test_resolution_is_repeatable(self):
+        symbols = {"β", "γ_b", "Ωb", "x"}
+        first = resolve_renames(symbols, (default_greek_map(),))
+        assert resolve_renames(symbols, (default_greek_map(),)) == first
+        assert first == {"β": "beta", "γ_b": "gamma_b", "Ωb": "Omega_b", "x": "x"}
+
     def test_head_replacement_with_underscore_tail(self):
         mapping = resolve_renames({"γ_b"}, (default_greek_map(),))
         assert mapping["γ_b"] == "gamma_b"
