@@ -21,8 +21,9 @@ exponent: products add bounds, a sum takes their maximum (their total
 when it cross-multiplies), a power multiplies the bound by |k|. The bound
 is checked before each product or power; when it would reach `2**bits`
 the whole pass restarts at double the width, starting from 8 bits, so a
-high-degree input pays for a cheap aborted pass, not for a carry. `MultiPoly.__mul__` and `pow_int` pack their
-operands at the width their exponent bound needs and call the same kernel.
+high-degree input pays for a cheap aborted pass, not for a carry.
+`ratfunc_equal` is the kernel's only other client: it packs its four sides
+at twice the width of their largest exponent and cross-multiplies.
 
 The coefficient ring is Z everywhere: `simplify`'s univariate GCD is a
 primitive remainder sequence over Z. `Fraction` remains only where a value
@@ -40,6 +41,7 @@ not performed; semantic equality is decided by cross-multiplication
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -101,15 +103,11 @@ class MultiPoly:
     """Sparse multivariate polynomial with int coefficients.
 
     `terms` holds no zero coefficients and iterates in descending monomial
-    order. All arithmetic assumes both operands share the same symbol
-    table; use `merge_tables`/`remap` to align values first. `__mul__` and
-    `pow_int` pack both operands with fields as wide as the bit length of
-    the largest exponent the result can hold, run the packed kernel and
-    unpack the sorted result. `normalize` makes no `MultiPoly` until its
-    end: it computes on packed keys of 8-bit fields, doubles the width
-    whenever an exponent bound would reach it, and unpacks once (see the
-    module docstring). Only `eval` leaves Z: it returns the exact
-    `Fraction` value at a rational point.
+    order. It is a canonical container with no arithmetic of its own:
+    products run on packed keys (`_mul`, `_pow`; see the module
+    docstring), and `normalize` makes a `MultiPoly` only at its end. Only
+    `eval` leaves Z: it returns the exact `Fraction` value at a rational
+    point.
     """
 
     symbols: SymbolTable
@@ -120,16 +118,6 @@ class MultiPoly:
         items = [(m, c) for m, c in raw.items() if c != 0]
         items.sort(reverse=True)
         return MultiPoly(symbols, dict(items))
-
-    @classmethod
-    def zero(cls, symbols: SymbolTable = ()) -> MultiPoly:
-        return cls(symbols, {})
-
-    @classmethod
-    def const(cls, symbols: SymbolTable, value: int) -> MultiPoly:
-        if value == 0:
-            return cls(symbols, {})
-        return cls(symbols, {(0,) * len(symbols): value})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,20 +136,6 @@ class MultiPoly:
             return 0
         i = self.symbols.index(name)
         return max(mono[i] for mono in self.terms)
-
-    def __mul__(self, other: MultiPoly) -> MultiPoly:
-        assert self.symbols == other.symbols
-        bits = (self._max_exponent() + other._max_exponent()).bit_length() or 1
-        return _unpack(self.symbols, _mul(_pack(self, bits), _pack(other, bits)), bits)
-
-    def pow_int(self, k: int) -> MultiPoly:
-        if k < 0:
-            raise ValueError("negative exponent on a polynomial")
-        bits = (self._max_exponent() * k).bit_length() or 1
-        return _unpack(self.symbols, _pow(_pack(self, bits), k), bits)
-
-    def _max_exponent(self) -> int:
-        return max(chain.from_iterable(self.terms), default=0)
 
     def div_monomial(self, g: Monomial) -> MultiPoly:
         """Quotient by a monomial dividing every term; lex order is kept."""
@@ -235,16 +209,6 @@ def _nonzero(terms: Packed) -> Packed:
     return terms
 
 
-def _pack(p: MultiPoly, bits: int) -> Packed:
-    packed = {}
-    for mono, c in p.terms.items():
-        key = 0
-        for e in mono:
-            key = key << bits | e
-        packed[key] = c
-    return packed
-
-
 def _unpack(symbols: SymbolTable, packed: Packed, bits: int) -> MultiPoly:
     """The polynomial of `bits`-bit fields, its terms sorted once."""
     mask = (1 << bits) - 1
@@ -263,28 +227,6 @@ def monomial_gcd(monos: Iterable[Monomial]) -> Monomial | None:
         if not any(mins):
             return None
     return mins
-
-
-def merge_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
-    return tuple(sorted(set(a) | set(b)))
-
-
-def remap(p: MultiPoly, symbols: SymbolTable) -> MultiPoly:
-    """Re-express `p` over a superset symbol table.
-
-    The inserted columns are zero in every term, so lex order is kept.
-    """
-    if p.symbols == symbols:
-        return p
-    positions = [symbols.index(name) for name in p.symbols]
-    width = len(symbols)
-    out: dict[Monomial, int] = {}
-    for mono, c in p.terms.items():
-        exps = [0] * width
-        for pos, e in zip(positions, mono):
-            exps[pos] = e
-        out[tuple(exps)] = c
-    return MultiPoly(symbols, out)
 
 
 @dataclass(frozen=True)
@@ -482,11 +424,21 @@ def _integer_constant(num: Packed, den: Packed) -> int | None:
 
 
 def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
-    """Exact equality by cross-multiplication (no GCD reduction needed)."""
-    table = merge_tables(a.numerator.symbols, b.numerator.symbols)
-    left = remap(a.numerator, table) * remap(b.denominator, table)
-    right = remap(b.numerator, table) * remap(a.denominator, table)
-    return left.terms == right.terms
+    """Exact equality by cross-multiplication (no GCD reduction needed).
+
+    The four sides pack by symbol name onto their merged, sorted table.
+    Each field holds twice the largest exponent, so no product carries.
+    """
+    sides = (a.numerator, b.denominator, b.numerator, a.denominator)
+    table = sorted(set().union(*(p.symbols for p in sides)))
+    top = max((e for p in sides for m in p.terms for e in m), default=0)
+    bits = (2 * top).bit_length() or 1
+    shifts = {name: bits * i for i, name in enumerate(reversed(table))}
+    an, bd, bn, ad = (
+        {sum([e << shifts[s] for s, e in zip(p.symbols, m)]): c for m, c in p.terms.items()}
+        for p in sides
+    )
+    return _mul(an, bd) == _mul(bn, ad)
 
 
 def _normalized_in_var(e: Expr, var: str) -> RatFunc:
@@ -524,9 +476,11 @@ def _var_coefficients(r: RatFunc, var: str) -> tuple[RatFunc, ...]:
 
     degree = max(buckets) if buckets else 0
     if degree > MAX_DEGREE:
-        raise AlgebraError(
-            f"degree {degree} in '{var}' is above the limit of {MAX_DEGREE}"
-        )
+        try:
+            shown = str(degree)
+        except ValueError:
+            shown = f"of more than {sys.get_int_max_str_digits()} digits"
+        raise AlgebraError(f"degree {shown} in '{var}' is above the limit of {MAX_DEGREE}")
     coeffs = []
     for k in range(degree + 1):
         bucket = buckets.get(k)

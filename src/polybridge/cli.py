@@ -117,12 +117,13 @@ def _build_specs(options: CliOptions) -> list[RenameSpec]:
     return specs
 
 
-def _non_ascii_symbols(values: Sequence[RatFunc]) -> list[str]:
-    used: set[str] = set()
-    for r in values:
-        used.update(r.numerator.symbols)
-        used.update(r.denominator.symbols)
-    return sorted(s for s in used if not s.isascii())
+def _symbols_in(values: Sequence[RatFunc]) -> set[str]:
+    # The two sides of a canonical value share one symbol table.
+    return {s for r in values for s in r.numerator.symbols}
+
+
+def _non_ascii(symbols: set[str]) -> str:
+    return ", ".join(sorted(s for s in symbols if not s.isascii()))
 
 
 def run(options: CliOptions) -> int:
@@ -184,7 +185,7 @@ def _run(options: CliOptions) -> int:
             value = timer.stage("normalize", lambda: normalize(renamed))
             value = timer.stage("simplify", lambda: simplify(value, options.simplify_level))
             output = timer.stage("emit", lambda: emit_expr(value) + "\n")
-            residue = ", ".join(_non_ascii_symbols([value]))
+            residue = _non_ascii(_symbols_in([value]))
             if residue:
                 print(f"warning: output contains non-ASCII symbols: {residue}", file=diag)
         else:
@@ -196,7 +197,8 @@ def _run(options: CliOptions) -> int:
                     tuple(simplify(c, options.simplify_level) for c in collected.coeffs),
                 ),
             )
-            residue = ", ".join(_non_ascii_symbols(collected.coeffs))
+            used = _symbols_in(collected.coeffs)
+            residue = _non_ascii(used)
             if residue:
                 print(
                     f"error: non-ASCII symbols remain after renaming: {residue}"
@@ -205,6 +207,15 @@ def _run(options: CliOptions) -> int:
                 )
                 return EXIT_USAGE
             if options.format == FORMAT_SCRIPT:
+                # `P(1)=...;` would overwrite a parameter `P` before a later
+                # line reads it; the vector format reads before it assigns.
+                if cfg.array_name in used:
+                    print(
+                        f"error: symbol '{cfg.array_name}' is also the array name, so the"
+                        " script would overwrite it (choose another --name or --rename it)",
+                        file=diag,
+                    )
+                    return EXIT_USAGE
                 output = timer.stage("emit", lambda: emit_coeff_script(collected, cfg))
             else:
                 output = timer.stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")

@@ -49,13 +49,7 @@ def _term_text(symbols: tuple[str, ...], mono: Monomial, coeff: int) -> str:
     magnitude = abs(coeff)
     parts = _monomial_text(symbols, mono)
     if magnitude != 1 or not parts:
-        try:
-            parts.insert(0, str(magnitude))
-        except ValueError:
-            raise AlgebraError(
-                "coefficient is too long to print: Python converts at most "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
+        parts.insert(0, str(magnitude))
     return "*".join(parts)
 
 
@@ -103,15 +97,22 @@ def emit_expr(r: RatFunc) -> str:
 
     Numerator and denominator each emit with their common monomial factored
     out (see `_poly_text`). The output re-parses to a value
-    cross-multiplication-equal to `r`.
+    cross-multiplication-equal to `r`. A coefficient or exponent beyond
+    Python's int/str digit limit raises AlgebraError.
     """
-    num_text, num_is_sum = _poly_text(r.numerator)
-    den = r.denominator
-    if den.is_constant() and den.constant_value() == 1:
-        return num_text
-    if num_is_sum:
-        num_text = f"({num_text})"
-    den_text, _ = _poly_text(den)
+    try:
+        num_text, num_is_sum = _poly_text(r.numerator)
+        den = r.denominator
+        if den.is_constant() and den.constant_value() == 1:
+            return num_text
+        if num_is_sum:
+            num_text = f"({num_text})"
+        den_text, _ = _poly_text(den)
+    except ValueError:
+        raise AlgebraError(
+            "number is too long to print: Python converts at most "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     if not _is_divisor_atom(den):
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"

@@ -223,73 +223,95 @@ def degree_by_finite_differences(
     return max(level - 1, 0)
 
 
+def naive_product(a: dict, b: dict) -> dict:
+    """Reference product: tuple addition, then descending lex order."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in sorted(out.items(), reverse=True) if c}
+
+
+def naive_power(a: dict, k: int, width: int) -> dict:
+    """`a**k` for k >= 0 by k reference products (so 0**0 is 1)."""
+    out = {(0,) * width: 1}
+    for _ in range(k):
+        out = naive_product(out, a)
+    return out
+
+
 def reference_num_den(e: Expr) -> tuple[MultiPoly, MultiPoly]:
     """Unreduced numerator and denominator of `e`, built on exponent tuples.
 
     This is the tuple-keyed reduction that `normalize` ran before it moved
-    to packed keys, kept as an oracle: it builds values with `MultiPoly(...)`,
-    `*` and `pow_int` only, so `make_ratfunc(*reference_num_den(e))` must
-    equal `normalize(e)` term for term and in the same order.
+    to packed keys, kept as an oracle: its products and powers are
+    `naive_product` and `naive_power`, which share no code with the packed
+    kernel, so `make_ratfunc(*reference_num_den(e))` must equal
+    `normalize(e)` term for term and in the same order.
     """
-    return _reference(e, tuple(sorted(symbols_of(e))))
+    table = tuple(sorted(symbols_of(e)))
+    num, den = _reference(e, table)
+    return MultiPoly(table, num), MultiPoly(table, den)
 
 
-def _sorted_poly(table: tuple[str, ...], raw: dict) -> MultiPoly:
-    return MultiPoly(table, dict(sorted(((m, c) for m, c in raw.items() if c), reverse=True)))
+def _sorted_terms(raw: dict) -> dict:
+    return dict(sorted(((m, c) for m, c in raw.items() if c), reverse=True))
 
 
-def _reference(e: Expr, table: tuple[str, ...]) -> tuple[MultiPoly, MultiPoly]:
-    zero = (0,) * len(table)
-    one = MultiPoly(table, {zero: 1})
+def _reference(e: Expr, table: tuple[str, ...]) -> tuple[dict, dict]:
+    width = len(table)
+    zero = (0,) * width
+    one = {zero: 1}
     if isinstance(e, IntegerLit):
-        return _sorted_poly(table, {zero: e.value}), one
+        return _sorted_terms({zero: e.value}), one
     if isinstance(e, RationalLit):
-        return _sorted_poly(table, {zero: e.numerator}), _sorted_poly(table, {zero: e.denominator})
+        return _sorted_terms({zero: e.numerator}), _sorted_terms({zero: e.denominator})
     if isinstance(e, SymbolRef):
-        return MultiPoly(table, {tuple(int(s == e.name) for s in table): 1}), one
+        return {tuple(int(s == e.name) for s in table): 1}, one
     if isinstance(e, Sum):
         acc: dict = {}
         num = den = None
         for term in e.terms:
             tn, td = _reference(term, table)
             if den is None:
-                if td.terms == one.terms:
-                    for m, c in tn.terms.items():
+                if td == one:
+                    for m, c in tn.items():
                         acc[m] = acc.get(m, 0) + c
                     continue
-                num, den = _sorted_poly(table, acc), one
-            total = dict((num * td).terms)
-            for m, c in (tn * den).terms.items():
+                num, den = _sorted_terms(acc), one
+            total = naive_product(num, td)
+            for m, c in naive_product(tn, den).items():
                 total[m] = total.get(m, 0) + c
-            num, den = _sorted_poly(table, total), den * td
+            num, den = _sorted_terms(total), naive_product(den, td)
         if den is None:
-            return _sorted_poly(table, acc), one
+            return _sorted_terms(acc), one
         return num, den
     if isinstance(e, Product):
         num, den = _reference(e.factors[0], table)
         for factor in e.factors[1:]:
             fn, fd = _reference(factor, table)
-            num, den = num * fn, den * fd
+            num, den = naive_product(num, fn), naive_product(den, fd)
         return num, den
     if isinstance(e, Quotient):
         num, den = _reference(e.numerator, table)
         dn, dd = _reference(e.denominator, table)
-        if not dn.terms:
+        if not dn:
             raise ZeroDenominator("denominator is identically zero")
-        return num * dd, den * dn
+        return naive_product(num, dd), naive_product(den, dn)
     if isinstance(e, Power):
         en, ed = _reference(e.exponent, table)
-        if any(any(m) for m in chain(en.terms, ed.terms)):
+        if any(any(m) for m in chain(en, ed)):
             raise SymbolicExponent("exponent does not normalize to an integer constant")
-        k, rest = divmod(en.terms.get(zero, 0), ed.terms[zero])
+        k, rest = divmod(en.get(zero, 0), ed[zero])
         if rest:
             raise SymbolicExponent("exponent does not normalize to an integer constant")
         bn, bd = _reference(e.base, table)
         if k >= 0:
-            return bn.pow_int(k), bd.pow_int(k)
-        if not bn.terms:
+            return naive_power(bn, k, width), naive_power(bd, k, width)
+        if not bn:
             raise ZeroDenominator("zero raised to a negative power")
-        return bd.pow_int(-k), bn.pow_int(-k)
+        return naive_power(bd, -k, width), naive_power(bn, -k, width)
     raise TypeError(repr(e))
 
 

@@ -28,6 +28,8 @@ from polybridge.algebra import (
     UnboundSymbol,
     ZeroDenominator,
     _exact_quotient,
+    _mul,
+    _pow,
     _to_num_den,
     make_ratfunc,
 )
@@ -46,6 +48,8 @@ from polybridge.expr import (
 from genlib import (
     degree_by_finite_differences,
     eval_at_valid_point,
+    naive_power,
+    naive_product,
     rand_expr_tree,
     rand_main_var_poly_expr,
     rand_point,
@@ -156,6 +160,72 @@ class TestRatFuncEqual:
 
     def test_tables_merge(self):
         assert ratfunc_equal(normalize(parse("a")), normalize(parse("a+b-b")))
+
+    @pytest.mark.parametrize("top", [127, 128, 255, 256])
+    def test_matches_naive_cross_multiplication(self, top):
+        rng = Random(139 + top)
+        pairs = [carry_pair(top), (RATFUNC_ZERO, RATFUNC_ZERO)]
+        for _ in range(60):
+            # Disjoint, nested, overlapping or equal symbol tables.
+            sa = tuple(sorted(rng.sample(("a", "b", "c", "d"), rng.randint(0, 2))))
+            sb = tuple(sorted(rng.sample(("a", "b", "c", "d"), rng.randint(0, 3))))
+            r = rand_side(rng, sa, top)
+            table = r.numerator.symbols  # trimmed to the symbols that occur
+            g = rand_terms(rng, len(table), 2, rng.randint(0, 3))
+            times_g = make_ratfunc(
+                MultiPoly(table, naive_product(r.numerator.terms, g)),
+                MultiPoly(table, naive_product(r.denominator.terms, g)),
+            )
+            assert naive_equal(r, times_g) and naive_equal(times_g, r)
+            bumped_terms = dict(r.numerator.terms)
+            corner = (top,) * len(table)
+            bumped_terms[corner] = bumped_terms.get(corner, 0) + 7
+            bumped = make_ratfunc(MultiPoly.make(table, bumped_terms), r.denominator)
+            assert not naive_equal(r, bumped)
+            pairs += [(r, times_g), (r, bumped), (r, rand_side(rng, sb, top)), (r, RATFUNC_ZERO)]
+        seen = set()
+        for a, b in pairs:
+            want = naive_equal(a, b)
+            assert ratfunc_equal(a, b) is want and ratfunc_equal(b, a) is want
+            sides = (a.numerator, a.denominator, b.numerator, b.denominator)
+            seen.add(max(top_exponent(p.terms) for p in sides))
+        assert top in seen
+
+
+def rand_side(rng: Random, symbols: tuple[str, ...], top: int) -> RatFunc:
+    """A canonical value over `symbols` whose exponents reach up to `top`."""
+    width = len(symbols)
+    num = {} if rng.random() < 0.1 else rand_terms(rng, width, rng.randint(0, 3), top)
+    den = rand_terms(rng, width, rng.randint(0, 2), rng.choice((0, top))) or {(): 1}
+    return make_ratfunc(MultiPoly.make(symbols, num), MultiPoly.make(symbols, den))
+
+
+def carry_pair(top: int) -> tuple[RatFunc, RatFunc]:
+    """Unequal values whose cross products collide if a field holds only `top`.
+
+    y^top*(y^top+1) and x*y^r+y^top differ, but with fields of
+    top.bit_length() bits y^(2*top) carries into x's field as x*y^r.
+    """
+    r = 2 * top - (1 << top.bit_length())
+    a = make_ratfunc(MultiPoly(("y",), {(top,): 1}), MultiPoly(("y",), {(0,): 1}))
+    b = make_ratfunc(
+        MultiPoly(("x", "y"), {(1, r): 1, (0, top): 1}),
+        MultiPoly(("x", "y"), {(0, top): 1, (0, 0): 1}),
+    )
+    return a, b
+
+
+def on_table(p: MultiPoly, table: tuple[str, ...]) -> dict:
+    """The terms of `p` over a superset symbol table."""
+    return {tuple(dict(zip(p.symbols, m)).get(s, 0) for s in table): c for m, c in p.terms.items()}
+
+
+def naive_equal(a: RatFunc, b: RatFunc) -> bool:
+    """Cross-multiplication with tuple products over the merged table."""
+    sides = (a.numerator, b.denominator, b.numerator, a.denominator)
+    table = tuple(sorted(set().union(*(p.symbols for p in sides))))
+    an, bd, bn, ad = (on_table(p, table) for p in sides)
+    return naive_product(an, bd) == naive_product(bn, ad)
 
 
 class TestDegreeAndCoefficients:
@@ -346,8 +416,11 @@ class TestSimplify:
             lead = rng.choice((-1, 1)) * rng.randint(1, bound)
             return [rng.randint(-bound, bound) for _ in range(degree)] + [lead]
 
-        def poly(cs):
-            return MultiPoly.make(("t",), {(i,): c for i, c in enumerate(cs)})
+        def terms(cs):
+            return {(i,): c for i, c in enumerate(cs)}
+
+        def product(cs, ds):
+            return MultiPoly(("t",), naive_product(terms(cs), terms(ds)))
 
         def to_sympy(p):
             return sum((c * t ** sum(m) for m, c in p.terms.items()), sympy.Integer(0))
@@ -360,7 +433,7 @@ class TestSimplify:
             a = dense(rng, 0 if kind == 3 else rng.randint(0, 3), bound)
             # kind 2: g is the whole denominator
             b = [1] if kind == 2 else dense(rng, 0 if kind == 4 else rng.randint(0, 3), bound)
-            r = make_ratfunc(poly(a) * poly(g), poly(b) * poly(g))
+            r = make_ratfunc(product(a, g), product(b, g))
             s = simplify(r, 1)
             assert ratfunc_equal(s, r)
             common = sympy.gcd(to_sympy(s.numerator), to_sympy(s.denominator))
@@ -495,16 +568,6 @@ class TestCanonicalInvariants:
         assert value == Fraction(1, 2)
 
 
-def naive_product(a: dict, b: dict) -> dict:
-    """Reference product: tuple addition, then descending lex order."""
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(m1, m2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {m: c for m, c in sorted(out.items(), reverse=True) if c}
-
-
 def rand_terms(rng: Random, width: int, n_terms: int, top: int) -> dict:
     """Up to n_terms random terms plus one that sets the largest exponent to `top`."""
     terms = {}
@@ -518,10 +581,45 @@ def rand_terms(rng: Random, width: int, n_terms: int, top: int) -> dict:
     return terms
 
 
-def assert_same_terms(got: MultiPoly, want: dict):
+def assert_same_terms(got: dict, want: dict):
     # Order is part of the contract: terms iterate in descending lex order.
-    assert list(got.terms.items()) == list(want.items())
-    assert all(type(c) is int for c in got.terms.values())
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int for c in got.values())
+
+
+def pack(terms: dict, bits: int) -> dict:
+    """Packed keys of `bits`-bit fields, the first exponent most significant."""
+    packed = {}
+    for mono, c in terms.items():
+        key = 0
+        for e in mono:
+            key = key << bits | e
+        packed[key] = c
+    return packed
+
+
+def unpack(packed: dict, width: int, bits: int) -> dict:
+    """Exponent tuples of packed keys, in descending lex order."""
+    mask = (1 << bits) - 1
+    shifts = [bits * (width - 1 - i) for i in range(width)]
+    terms = [(tuple(key >> s & mask for s in shifts), c) for key, c in packed.items()]
+    return dict(sorted(terms, reverse=True))
+
+
+def top_exponent(terms: dict) -> int:
+    return max(chain.from_iterable(terms), default=0)
+
+
+def packed_product(a: dict, b: dict, width: int) -> dict:
+    """`_mul` at the narrowest field width that holds the product's exponents."""
+    bits = (top_exponent(a) + top_exponent(b)).bit_length() or 1
+    return unpack(_mul(pack(a, bits), pack(b, bits)), width, bits)
+
+
+def packed_power(a: dict, k: int, width: int) -> dict:
+    """`_pow` at the narrowest field width that holds the power's exponents."""
+    bits = (top_exponent(a) * k).bit_length() or 1
+    return unpack(_pow(pack(a, bits), k), width, bits)
 
 
 # Largest exponent sums at the edges of the packed field width: the
@@ -536,66 +634,58 @@ class TestPackedProduct:
             for _ in range(12):
                 width = rng.randint(1, 4)
                 top_a = rng.randint(0, total)
-                symbols = tuple("abcd"[:width])
-                a = MultiPoly.make(symbols, rand_terms(rng, width, rng.randint(1, 6), top_a))
-                b = MultiPoly.make(symbols, rand_terms(rng, width, rng.randint(1, 6), total - top_a))
-                assert_same_terms(a * b, naive_product(a.terms, b.terms))
-                assert_same_terms(b * a, naive_product(a.terms, b.terms))
+                a = rand_terms(rng, width, rng.randint(1, 6), top_a)
+                b = rand_terms(rng, width, rng.randint(1, 6), total - top_a)
+                assert_same_terms(packed_product(a, b, width), naive_product(a, b))
+                assert_same_terms(packed_product(b, a, width), naive_product(a, b))
 
     def test_single_term_operands(self):
         rng = Random(109)
         for _ in range(100):
             width = rng.randint(0, 3)
-            symbols = tuple("abc"[:width])
-            a = MultiPoly.make(symbols, rand_terms(rng, width, rng.randint(1, 6), rng.randint(0, 300)))
-            b = MultiPoly.make(symbols, rand_terms(rng, width, 0, rng.randint(0, 300)) or {(): 5})
-            assert len(b.terms) == 1
-            assert_same_terms(a * b, naive_product(a.terms, b.terms))
-            assert_same_terms(b * a, naive_product(a.terms, b.terms))
+            a = rand_terms(rng, width, rng.randint(1, 6), rng.randint(0, 300))
+            b = rand_terms(rng, width, 0, rng.randint(0, 300)) or {(): 5}
+            assert len(b) == 1
+            assert_same_terms(packed_product(a, b, width), naive_product(a, b))
+            assert_same_terms(packed_product(b, a, width), naive_product(a, b))
 
     def test_width_zero(self):
-        three, minus_two = MultiPoly.const((), 3), MultiPoly.const((), -2)
-        assert_same_terms(three * minus_two, {(): -6})
-        assert_same_terms(three.pow_int(4), {(): 81})
-        assert_same_terms(three.pow_int(0), {(): 1})
-        assert_same_terms(three * MultiPoly.zero(), {})
+        three, minus_two = {(): 3}, {(): -2}
+        assert_same_terms(packed_product(three, minus_two, 0), {(): -6})
+        assert_same_terms(packed_power(three, 4, 0), {(): 81})
+        assert_same_terms(packed_power(three, 0, 0), {(): 1})
+        assert_same_terms(packed_product(three, {}, 0), {})
 
     def test_cancellation(self):
-        symbols = ("x", "y")
         for e in (1, 255, 256, 1500):
-            plus = MultiPoly.make(symbols, {(e, 0): 1, (0, e): 1})
-            minus = MultiPoly.make(symbols, {(e, 0): 1, (0, e): -1})
+            plus = {(e, 0): 1, (0, e): 1}
+            minus = {(e, 0): 1, (0, e): -1}
             # The cross terms cancel: (x^e + y^e)(x^e - y^e) = x^2e - y^2e.
-            assert_same_terms(plus * minus, {(2 * e, 0): 1, (0, 2 * e): -1})
-            assert_same_terms(plus * MultiPoly.zero(symbols), {})
-            assert_same_terms(MultiPoly.zero(symbols) * plus, {})
+            assert_same_terms(packed_product(plus, minus, 2), {(2 * e, 0): 1, (0, 2 * e): -1})
+            assert_same_terms(packed_product(plus, {}, 2), {})
+            assert_same_terms(packed_product({}, plus, 2), {})
         rng = Random(113)
         for _ in range(100):
             width = rng.randint(1, 3)
-            symbols = tuple("abc"[:width])
-            a = MultiPoly.make(symbols, rand_terms(rng, width, 5, 2))
-            b = MultiPoly.make(symbols, rand_terms(rng, width, 5, 2))
-            assert_same_terms(a * b, naive_product(a.terms, b.terms))
+            a = rand_terms(rng, width, 5, 2)
+            b = rand_terms(rng, width, 5, 2)
+            assert_same_terms(packed_product(a, b, width), naive_product(a, b))
 
-    def test_pow_int_matches_repeated_reference_product(self):
+    def test_pow_matches_repeated_reference_product(self):
         rng = Random(127)
         for total in FIELD_EDGE_SUMS:
             width = rng.randint(1, 3)
-            symbols = tuple("abc"[:width])
             top = max(total // 4, 1)
-            bases = [MultiPoly.make(symbols, rand_terms(rng, width, n, top)) for n in (0, 3)]
-            for base in bases + [MultiPoly.zero(symbols)]:
+            bases = [rand_terms(rng, width, n, top) for n in (0, 3)]
+            for base in bases + [{}]:
                 for k in range(5):
-                    want = {(0,) * width: 1}
-                    for _ in range(k):
-                        want = naive_product(want, base.terms)
-                    assert_same_terms(base.pow_int(k), want)
+                    assert_same_terms(packed_power(base, k, width), naive_power(base, k, width))
 
 
 def assert_identical(got: RatFunc, want: RatFunc):
     for g, w in ((got.numerator, want.numerator), (got.denominator, want.denominator)):
         assert g.symbols == w.symbols
-        assert_same_terms(g, w.terms)
+        assert_same_terms(g.terms, w.terms)
 
 
 def power(base, k):

@@ -157,6 +157,34 @@ class TestRenameOptions:
         assert "beta" in err
 
 
+class TestArrayNameClash:
+    # In a script, `P(1)=...;` overwrites a parameter `P` before `P(2)=P;`
+    # reads it.
+    @pytest.mark.parametrize(
+        "argv, text", [([], "x^2+P*x"), (["--name", "Q"], "x^2+Q*x")], ids=["P", "Q"]
+    )
+    def test_script_refuses_symbol_named_like_the_array(self, argv, text, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, argv, stdin=text)
+        assert (code, out) == (4, "")
+        assert "array name" in err and "--name" in err and "--rename" in err
+
+    def test_vector_reads_before_it_assigns(self, monkeypatch, capsys):
+        code, out, _ = invoke(monkeypatch, capsys, ["--format", "vector"], stdin="x^2+P*x")
+        assert (code, out) == (0, "P=[1, P, 0];\n")
+
+    @pytest.mark.parametrize(
+        "argv, text, want",
+        [
+            (["--rename", "P=p0"], "x^2+P*x", "P(1)=1;\nP(2)=p0;\nP(3)=0;\n"),
+            (["--var", "P"], "P^2+1", "P(1)=1;\nP(2)=0;\nP(3)=1;\n"),
+        ],
+        ids=["renamed", "main-variable"],
+    )
+    def test_script_converts_without_the_clash(self, argv, text, want, monkeypatch, capsys):
+        code, out, _ = invoke(monkeypatch, capsys, argv, stdin=text)
+        assert (code, out) == (0, want)
+
+
 class TestErrorContracts:
     def test_laurent_input_exits_3(self, monkeypatch, capsys):
         code, out, err = invoke(monkeypatch, capsys, [], stdin="1/x")
@@ -246,6 +274,17 @@ class TestErrorContracts:
         if not limit:
             pytest.skip("this Python has no int/str digit limit")
         text = "(12345678901234567890123*x)^500"
+        code, out, err = invoke(monkeypatch, capsys, ["--format", fmt], stdin=text)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and f"{limit} digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["script", "vector", "expr"])
+    @pytest.mark.parametrize("text", ["a^(10^5000)", "x^(10^5000)"])
+    def test_exponent_over_digit_limit_exits_3(self, text, fmt, monkeypatch, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int/str digit limit")
         code, out, err = invoke(monkeypatch, capsys, ["--format", fmt], stdin=text)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and f"{limit} digits" in err
