@@ -17,7 +17,6 @@ from .algebra import (
     coefficient_of,
     collect_main_var,
     degree_in,
-    eval_at,
     normalize,
     ratfunc_equal,
     simplify,
@@ -42,7 +41,6 @@ __all__ = [
     "emit_coeff_script",
     "emit_coeff_vector",
     "emit_expr",
-    "eval_at",
     "normalize",
     "parse",
     "ratfunc_equal",

@@ -7,28 +7,25 @@ compare under pure lexicographic order on exponent vectors; term dicts are
 stored in descending monomial order so iteration and emission are
 deterministic. Rational literals arrive as an integer numerator and
 denominator and rational content folds into the numerator/denominator
-pair, so no polynomial coefficient needs to be a fraction.
+pair, so the coefficient ring is Z everywhere.
 
 Packed keys. Arithmetic runs on packed-exponent term dicts `{key: int}`
 (Monagan & Pearce, CASC 2007): a monomial packs into one int with a fixed
 field width per symbol, the first symbol in the most significant field, so
 multiplying monomials is one int addition and int order is lex order.
-`normalize` packs at the leaves (a symbol is the key `1 << shift`, a
-constant the key 0), combines every node through one schoolbook product
-kernel, `_mul`, and its power routine `_pow`, and unpacks and sorts each
-side once. Each intermediate carries an upper bound on any single
-exponent: products add bounds, a sum takes their maximum (their total
-when it cross-multiplies), a power multiplies the bound by |k|. The bound
-is checked before each product or power; when it would reach `2**bits`
-the whole pass restarts at double the width, starting from 8 bits, so a
-high-degree input pays for a cheap aborted pass, not for a carry.
+`_packed` packs at the leaves (a symbol is the key `1 << shift`, a
+constant the key 0) and combines every node through one schoolbook product
+kernel, `_mul`, and its power routine `_pow`. Each intermediate carries an
+upper bound on any single exponent: products add bounds, a sum takes their
+maximum (their total when it cross-multiplies), a power multiplies the
+bound by |k|. The bound is checked before each product or power; when it
+would reach `2**bits` the whole pass restarts at double the width,
+starting from 8 bits, so a high-degree input pays for a cheap aborted
+pass, not for a carry. `normalize` unpacks and sorts each side once;
+`collect_main_var` first splits the numerator by the main variable's
+field, then unpacks and canonicalizes each coefficient once.
 `ratfunc_equal` is the kernel's only other client: it packs its four sides
 at twice the width of their largest exponent and cross-multiplies.
-
-The coefficient ring is Z everywhere: `simplify`'s univariate GCD is a
-primitive remainder sequence over Z. `Fraction` remains only where a value
-is rational by nature: point evaluation (`eval_at`, `MultiPoly.eval`) and
-`RatFunc.constant_value`.
 
 Canonical rational functions additionally guarantee: the symbol table is
 trimmed to symbols that actually occur, any monomial dividing every term
@@ -42,12 +39,12 @@ not performed; semantic equality is decided by cross-multiplication
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .expr import (
     Expr,
@@ -90,14 +87,6 @@ class NotPolynomialInVar(AlgebraError):
     """The main variable occurs in a denominator."""
 
 
-class UnboundSymbol(AlgebraError):
-    """Point evaluation hit a symbol missing from the assignment."""
-
-
-class DivisionByZeroAtPoint(AlgebraError):
-    """Point evaluation hit a zero denominator."""
-
-
 @dataclass(frozen=True)
 class MultiPoly:
     """Sparse multivariate polynomial with int coefficients.
@@ -105,9 +94,7 @@ class MultiPoly:
     `terms` holds no zero coefficients and iterates in descending monomial
     order. It is a canonical container with no arithmetic of its own:
     products run on packed keys (`_mul`, `_pow`; see the module
-    docstring), and `normalize` makes a `MultiPoly` only at its end. Only
-    `eval` leaves Z: it returns the exact `Fraction` value at a rational
-    point.
+    docstring), and `_unpack` turns their result into a `MultiPoly`.
     """
 
     symbols: SymbolTable
@@ -131,32 +118,12 @@ class MultiPoly:
     def leading(self) -> tuple[Monomial, int]:
         return next(iter(self.terms.items()))
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.symbols or not self.terms:
-            return 0
-        i = self.symbols.index(name)
-        return max(mono[i] for mono in self.terms)
-
     def div_monomial(self, g: Monomial) -> MultiPoly:
         """Quotient by a monomial dividing every term; lex order is kept."""
         return MultiPoly(
             self.symbols,
             {tuple([e - d for e, d in zip(m, g)]): c for m, c in self.terms.items()},
         )
-
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        for name in self.symbols:
-            if name not in point:
-                raise UnboundSymbol(f"no value assigned to symbol '{name}'")
-        values = [Fraction(point[name]) for name in self.symbols]
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            term = c
-            for v, e in zip(values, mono):
-                if e:
-                    term *= v**e
-            total += term
-        return total
 
 
 Packed = dict[int, int]
@@ -239,14 +206,11 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def constant_value(self) -> Fraction:
-        return Fraction(self.numerator.constant_value(), self.denominator.constant_value())
-
 
 RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): 1}))
 
 
-def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> RatFunc:
+def make_ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
     """Canonicalize a numerator/denominator pair of int polynomials.
 
     Cancels the common monomial, trims unused symbols, divides out the
@@ -254,7 +218,7 @@ def make_ratfunc(num: MultiPoly, den: MultiPoly, span: Span | None = None) -> Ra
     positive (see the module docstring).
     """
     if den.is_zero():
-        raise ZeroDenominator("denominator is identically zero", span)
+        raise ZeroDenominator("denominator is identically zero")
     if num.is_zero():
         return RATFUNC_ZERO
     num, den = _cancel_common_monomial(num, den)
@@ -314,26 +278,29 @@ def _fits(bound: int, limit: int) -> int:
     return bound
 
 
-def normalize(e: Expr) -> RatFunc:
-    """Flatten an expression into canonical rational-function form.
-
-    Every Power exponent must normalize to an integer constant; negative
-    exponents contribute to the denominator and Quotient nodes merge by
-    cross-multiplication. The arithmetic runs on packed keys of 8-bit
-    fields; a pass whose exponent bound outgrows the fields restarts at
-    twice the width (see the module docstring).
-    """
+def _packed(e: Expr) -> tuple[SymbolTable, Packed, Packed, int]:
+    """The sorted symbol table, packed numerator and denominator, and the
+    field width, which starts at 8 bits and doubles on `_Widen`."""
     table = tuple(sorted(symbols_of(e)))
     bits = 8
     while True:
         keys = {name: 1 << bits * i for i, name in enumerate(reversed(table))}
         try:
             num, den, _ = _to_num_den(e, keys, 1 << bits)
-            break
+            return table, num, den, bits
         except _Widen:
             bits *= 2
-    span = getattr(e, "span", None)
-    return make_ratfunc(_unpack(table, num, bits), _unpack(table, den, bits), span)
+
+
+def normalize(e: Expr) -> RatFunc:
+    """Flatten an expression into canonical rational-function form.
+
+    Every Power exponent must normalize to an integer constant; negative
+    exponents contribute to the denominator and Quotient nodes merge by
+    cross-multiplication.
+    """
+    table, num, den, bits = _packed(e)
+    return make_ratfunc(_unpack(table, num, bits), _unpack(table, den, bits))
 
 
 # The packed constant 1, to compare a denominator against.
@@ -441,62 +408,46 @@ def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
     return _mul(an, bd) == _mul(bn, ad)
 
 
-def _normalized_in_var(e: Expr, var: str) -> RatFunc:
-    r = normalize(e)
-    if r.denominator.degree_in(var) > 0:
-        raise NotPolynomialInVar(
-            f"denominator contains the main variable '{var}'"
-        )
-    return r
+def _split(e: Expr, var: str) -> tuple[dict[int, MultiPoly], MultiPoly]:
+    """The numerator of `e` bucketed by its power of `var`, and the denominator.
+
+    Both come unpacked on the symbol table without `var`, so each bucket over
+    the shared denominator canonicalizes to one coefficient. The smallest
+    power of `var` over both sides is cancelled first, as canonical form
+    cancels a common monomial (`x^2/x` has degree 1); every denominator term
+    must hold `var` to exactly that power. A zero numerator has no buckets.
+    """
+    table, num, den, bits = _packed(e)
+    buckets = {0: num} if num else {}
+    if num and var in table:
+        i = table.index(var)
+        shift = bits * (len(table) - 1 - i)
+        mask, rest, high = (1 << bits) - 1, (1 << shift) - 1, shift + bits
+        buckets = defaultdict(dict)
+        for k, c in num.items():
+            # The key without var's field: the fields above it move down.
+            buckets[k >> shift & mask][k >> high << shift | k & rest] = c
+        den_fields = {k >> shift & mask for k in den}
+        low = min(min(buckets), *den_fields)
+        if den_fields != {low}:
+            raise NotPolynomialInVar(f"denominator contains the main variable '{var}'")
+        buckets = {field - low: bucket for field, bucket in buckets.items()}
+        den = {k >> high << shift | k & rest: c for k, c in den.items()}
+        table = table[:i] + table[i + 1 :]
+    return {k: _unpack(table, b, bits) for k, b in buckets.items()}, _unpack(table, den, bits)
 
 
 def degree_in(e: Expr, var: str) -> int:
     """Largest power of `var` with a nonzero coefficient (0 for constants)."""
-    r = _normalized_in_var(e, var)
-    return r.numerator.degree_in(var)
-
-
-def _var_coefficients(r: RatFunc, var: str) -> tuple[RatFunc, ...]:
-    """Split a var-free-denominator RatFunc into coefficients of var^k."""
-    num, den = r.numerator, r.denominator
-    if var not in num.symbols:
-        return (r,)
-    vi = num.symbols.index(var)
-    reduced = tuple(s for s in num.symbols if s != var)
-
-    # Dropping var's column keeps the descending order within each power of
-    # var, and den has no var, so neither side needs a re-sort.
-    buckets: dict[int, dict[Monomial, int]] = {}
-    for mono, c in num.terms.items():
-        rest = mono[:vi] + mono[vi + 1 :]
-        buckets.setdefault(mono[vi], {})[rest] = c
-    den_reduced = MultiPoly(
-        reduced, {m[:vi] + m[vi + 1 :]: c for m, c in den.terms.items()}
-    )
-
-    degree = max(buckets) if buckets else 0
-    if degree > MAX_DEGREE:
-        try:
-            shown = str(degree)
-        except ValueError:
-            shown = f"of more than {sys.get_int_max_str_digits()} digits"
-        raise AlgebraError(f"degree {shown} in '{var}' is above the limit of {MAX_DEGREE}")
-    coeffs = []
-    for k in range(degree + 1):
-        bucket = buckets.get(k)
-        if bucket is None:
-            coeffs.append(RATFUNC_ZERO)
-        else:
-            coeffs.append(make_ratfunc(MultiPoly(reduced, bucket), den_reduced))
-    return tuple(coeffs)
+    return max(_split(e, var)[0], default=0)
 
 
 def coefficient_of(e: Expr, var: str, k: int) -> RatFunc:
     """The RatFunc multiplying var^k in the canonical form of `e`."""
     if k < 0:
         raise ValueError("coefficient index must be nonnegative")
-    coeffs = _var_coefficients(_normalized_in_var(e, var), var)
-    return coeffs[k] if k < len(coeffs) else RATFUNC_ZERO
+    buckets, den = _split(e, var)
+    return make_ratfunc(buckets[k], den) if k in buckets else RATFUNC_ZERO
 
 
 @dataclass(frozen=True)
@@ -516,8 +467,23 @@ class MainVarPoly:
 
 
 def collect_main_var(e: Expr, var: str) -> MainVarPoly:
-    """Collect `e` as a polynomial in `var` with var-free coefficients."""
-    return MainVarPoly(var, _var_coefficients(_normalized_in_var(e, var), var))
+    """Collect `e` as a polynomial in `var` with var-free coefficients.
+
+    A degree above `MAX_DEGREE` raises AlgebraError before any coefficient
+    is built.
+    """
+    buckets, den = _split(e, var)
+    degree = max(buckets, default=0)
+    if degree > MAX_DEGREE:
+        try:
+            shown = str(degree)
+        except ValueError:
+            shown = f"of more than {sys.get_int_max_str_digits()} digits"
+        raise AlgebraError(f"degree {shown} in '{var}' is above the limit of {MAX_DEGREE}")
+    coeffs = [RATFUNC_ZERO] * (degree + 1)
+    for k, bucket in buckets.items():
+        coeffs[k] = make_ratfunc(bucket, den)
+    return MainVarPoly(var, tuple(coeffs))
 
 
 def simplify(r: RatFunc, level: int) -> RatFunc:
@@ -597,58 +563,3 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], bo
     while r and not r[-1]:
         r.pop()
     return q, r, scaled
-
-
-def eval_at(
-    value: Union[Expr, RatFunc], assignment: Mapping[str, Fraction | int]
-) -> Fraction:
-    """Exact evaluation at a rational point (the random-point oracle)."""
-    point = {name: Fraction(v) for name, v in assignment.items()}
-    if isinstance(value, RatFunc):
-        den = value.denominator.eval(point)
-        if den == 0:
-            raise DivisionByZeroAtPoint("denominator vanishes at the given point")
-        return value.numerator.eval(point) / den
-    return _eval_expr(value, point)
-
-
-def _eval_expr(e: Expr, point: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(e, IntegerLit):
-        return Fraction(e.value)
-    if isinstance(e, RationalLit):
-        return Fraction(e.numerator, e.denominator)
-    if isinstance(e, SymbolRef):
-        if e.name not in point:
-            raise UnboundSymbol(f"no value assigned to symbol '{e.name}'", e.span)
-        return point[e.name]
-    if isinstance(e, Sum):
-        return sum((_eval_expr(t, point) for t in e.terms), Fraction(0))
-    if isinstance(e, Product):
-        out = Fraction(1)
-        for f in e.factors:
-            out *= _eval_expr(f, point)
-        return out
-    if isinstance(e, Quotient):
-        den = _eval_expr(e.denominator, point)
-        if den == 0:
-            raise DivisionByZeroAtPoint(
-                "denominator vanishes at the given point",
-                getattr(e.denominator, "span", None) or e.span,
-            )
-        return _eval_expr(e.numerator, point) / den
-    if isinstance(e, Power):
-        exponent = _eval_expr(e.exponent, point)
-        if exponent.denominator != 1:
-            raise SymbolicExponent(
-                "exponent does not evaluate to an integer",
-                getattr(e.exponent, "span", None) or e.span,
-            )
-        base = _eval_expr(e.base, point)
-        k = int(exponent)
-        if k < 0 and base == 0:
-            raise DivisionByZeroAtPoint(
-                "zero base raised to a negative power",
-                getattr(e.base, "span", None) or e.span,
-            )
-        return base**k
-    raise TypeError(f"not an evaluable value: {e!r}")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 lex/parse error; 3 the input is not a polynomial
 in the main variable (or has a symbolic exponent / zero denominator);
-4 rename collisions, bad options, or I/O failures. Diagnostics go to
+4 rename collisions, bad options, I/O failures, or symbols that Matlab
+would misread (non-ASCII, keywords, the array name). Diagnostics go to
 stderr only; stdout (or the output file) receives either the complete
 result or nothing.
 """
@@ -30,6 +31,7 @@ from .emitter import (
     FORMAT_EXPR,
     FORMAT_SCRIPT,
     FORMATS,
+    MATLAB_KEYWORDS,
     EmitConfig,
     emit_coeff_script,
     emit_coeff_vector,
@@ -198,14 +200,17 @@ def _run(options: CliOptions) -> int:
                 ),
             )
             used = _symbols_in(collected.coeffs)
-            residue = _non_ascii(used)
-            if residue:
-                print(
-                    f"error: non-ASCII symbols remain after renaming: {residue}"
-                    " (add --rename rules or use --format expr)",
-                    file=diag,
-                )
-                return EXIT_USAGE
+            # Symbols Matlab cannot read back; the expr format prints them.
+            for problem, names in (
+                ("non-ASCII symbols remain after renaming", _non_ascii(used)),
+                ("symbols that are Matlab keywords", ", ".join(sorted(used & MATLAB_KEYWORDS))),
+            ):
+                if names:
+                    print(
+                        f"error: {problem}: {names} (add --rename rules or use --format expr)",
+                        file=diag,
+                    )
+                    return EXIT_USAGE
             if options.format == FORMAT_SCRIPT:
                 # `P(1)=...;` would overwrite a parameter `P` before a later
                 # line reads it; the vector format reads before it assigns.
@@ -286,6 +291,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
+    # Each dest is a CliOptions field, and an option not given sets nothing,
+    # so the defaults are CliOptions' own.
     parser = _ArgumentParser(
         prog="polybridge",
         description=(
@@ -293,6 +300,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             "coefficient-assignment script (leading coefficient first), a "
             "coefficient vector, or an explicit-operator expression."
         ),
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
         "input",
@@ -302,14 +310,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         help="input file, or '-' for stdin (default)",
     )
     parser.add_argument("-o", "--output", help="output file (default: stdout)")
-    parser.add_argument("--var", default="x", help="main variable (default: x)")
+    parser.add_argument("--var", dest="main_var", metavar="VAR", help="main variable (default: x)")
+    parser.add_argument("--format", choices=list(FORMATS), help="output format (default: script)")
     parser.add_argument(
-        "--format",
-        choices=list(FORMATS),
-        default=FORMAT_SCRIPT,
-        help="output format (default: script)",
+        "--name", dest="array_name", metavar="NAME", help="target array name (default: P)"
     )
-    parser.add_argument("--name", default="P", help="target array name (default: P)")
     parser.add_argument(
         "--no-greek-defaults",
         dest="greek_defaults",
@@ -319,16 +324,16 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rename-file", help="file of FROM=TO rename rules (one per line)")
     parser.add_argument(
         "--rename",
+        dest="inline_renames",
         action="append",
-        default=[],
         metavar="FROM=TO",
         help="extra rename rule; repeatable, later rules win",
     )
     parser.add_argument(
         "--simplify",
+        dest="simplify_level",
         type=int,
         choices=[0, 1],
-        default=1,
         help="coefficient simplification level (default: 1)",
     )
     parser.add_argument(
@@ -347,18 +352,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse already printed its message (--help exits 0).
         return int(exc.code or 0)
 
-    options = CliOptions(
-        input=ns.input,
-        output=ns.output,
-        main_var=ns.var,
-        format=ns.format,
-        array_name=ns.name,
-        greek_defaults=ns.greek_defaults,
-        rename_file=ns.rename_file,
-        inline_renames=tuple(ns.rename),
-        simplify_level=ns.simplify,
-        show_time=ns.show_time,
-    )
+    options = CliOptions(**vars(ns))
+    options.inline_renames = tuple(options.inline_renames)
     return run(options)
 
 

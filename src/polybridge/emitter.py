@@ -20,12 +20,19 @@ FORMAT_VECTOR = "vector"
 FORMAT_EXPR = "expr"
 FORMATS = (FORMAT_SCRIPT, FORMAT_VECTOR, FORMAT_EXPR)
 
+# Matlab's `iskeyword` list: none of these can name a variable or an array.
+MATLAB_KEYWORDS = frozenset(
+    "break case catch classdef continue else elseif end for function global if"
+    " otherwise parfor persistent return spmd switch try while".split()
+)
+
 
 @dataclass(frozen=True)
 class EmitConfig:
     """Target array name of the script and vector formats.
 
-    Construction raises ValueError unless the name is an ASCII identifier.
+    Construction raises ValueError unless the name is an ASCII identifier
+    and not a Matlab keyword.
     """
 
     array_name: str = "P"
@@ -33,6 +40,8 @@ class EmitConfig:
     def __post_init__(self):
         if not is_ascii_identifier(self.array_name):
             raise ValueError(f"array name {self.array_name!r} is not an ASCII identifier")
+        if self.array_name in MATLAB_KEYWORDS:
+            raise ValueError(f"array name {self.array_name!r} is a Matlab keyword")
 
 
 def _monomial_text(symbols: tuple[str, ...], mono: Monomial) -> list[str]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import (
@@ -151,6 +150,8 @@ def _too_long(span: Span) -> SourceError:
 
 
 def _decimal(text: str, span: Span) -> Expr:
+    from fractions import Fraction  # imports `decimal`; only decimal literals need it
+
     try:
         value = Fraction(text)
     except ValueError:
@@ -166,10 +167,9 @@ def parse(input_text: str) -> Expr:
     Raises SourceError (kind "lex" or "parse") with a character span on any
     malformed input, including empty input. The parser keeps its state on
     an explicit stack, so nesting depth is bounded by memory alone; the
-    tree walks of `normalize`, `collect_main_var`, `substitute` and
-    `eval_at` still recurse and raise a bare RecursionError on a tree
-    nested deeper than Python's recursion limit (only `cli.run` maps it
-    to exit 3).
+    tree walks of `normalize`, `collect_main_var` and `substitute` still
+    recurse and raise a bare RecursionError on a tree nested deeper than
+    Python's recursion limit (only `cli.run` maps it to exit 3).
     """
     tokens = tokenize(input_text)
     if tokens[0].kind == END:

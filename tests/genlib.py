@@ -6,12 +6,16 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from random import Random
-from typing import Callable
+from typing import Callable, Mapping, Union
 
-from polybridge import eval_at
+from polybridge import normalize
 from polybridge.algebra import (
-    DivisionByZeroAtPoint,
+    MAX_DEGREE,
+    RATFUNC_ZERO,
+    AlgebraError,
+    MainVarPoly,
     MultiPoly,
+    NotPolynomialInVar,
     RatFunc,
     SymbolicExponent,
     ZeroDenominator,
@@ -194,6 +198,90 @@ def rand_main_var_poly_expr(
     return body, params
 
 
+class UnboundSymbol(AlgebraError):
+    """Point evaluation hit a symbol missing from the assignment."""
+
+
+class DivisionByZeroAtPoint(AlgebraError):
+    """Point evaluation hit a zero denominator."""
+
+
+def eval_at(value: Union[Expr, RatFunc], assignment: Mapping[str, Fraction | int]) -> Fraction:
+    """Exact evaluation at a rational point: the random-point oracle.
+
+    It walks the tree itself and shares no arithmetic with `normalize`.
+    """
+    point = {name: Fraction(v) for name, v in assignment.items()}
+    if isinstance(value, RatFunc):
+        den = _poly_eval(value.denominator, point)
+        if den == 0:
+            raise DivisionByZeroAtPoint("denominator vanishes at the given point")
+        return _poly_eval(value.numerator, point) / den
+    return _eval_expr(value, point)
+
+
+def _poly_eval(p: MultiPoly, point: Mapping[str, Fraction]) -> Fraction:
+    for name in p.symbols:
+        if name not in point:
+            raise UnboundSymbol(f"no value assigned to symbol '{name}'")
+    values = [point[name] for name in p.symbols]
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        term = Fraction(c)
+        for v, e in zip(values, mono):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+def _eval_expr(e: Expr, point: Mapping[str, Fraction]) -> Fraction:
+    if isinstance(e, IntegerLit):
+        return Fraction(e.value)
+    if isinstance(e, RationalLit):
+        return Fraction(e.numerator, e.denominator)
+    if isinstance(e, SymbolRef):
+        if e.name not in point:
+            raise UnboundSymbol(f"no value assigned to symbol '{e.name}'", e.span)
+        return point[e.name]
+    if isinstance(e, Sum):
+        return sum((_eval_expr(t, point) for t in e.terms), Fraction(0))
+    if isinstance(e, Product):
+        out = Fraction(1)
+        for f in e.factors:
+            out *= _eval_expr(f, point)
+        return out
+    if isinstance(e, Quotient):
+        den = _eval_expr(e.denominator, point)
+        if den == 0:
+            raise DivisionByZeroAtPoint(
+                "denominator vanishes at the given point",
+                getattr(e.denominator, "span", None) or e.span,
+            )
+        return _eval_expr(e.numerator, point) / den
+    if isinstance(e, Power):
+        exponent = _eval_expr(e.exponent, point)
+        if exponent.denominator != 1:
+            raise SymbolicExponent(
+                "exponent does not evaluate to an integer",
+                getattr(e.exponent, "span", None) or e.span,
+            )
+        base = _eval_expr(e.base, point)
+        k = int(exponent)
+        if k < 0 and base == 0:
+            raise DivisionByZeroAtPoint(
+                "zero base raised to a negative power",
+                getattr(e.base, "span", None) or e.span,
+            )
+        return base**k
+    raise TypeError(f"not an evaluable value: {e!r}")
+
+
+def constant_value(r: RatFunc) -> Fraction:
+    """The value of a canonical constant (its tables are empty)."""
+    return Fraction(r.numerator.constant_value(), r.denominator.constant_value())
+
+
 def eval_at_valid_point(
     rng: Random, e: Expr, names, tries: int = 100
 ) -> tuple[dict[str, Fraction], Fraction]:
@@ -313,6 +401,36 @@ def _reference(e: Expr, table: tuple[str, ...]) -> tuple[dict, dict]:
             raise ZeroDenominator("zero raised to a negative power")
         return naive_power(bd, -k, width), naive_power(bn, -k, width)
     raise TypeError(repr(e))
+
+
+def reference_collect(e: Expr, var: str) -> MainVarPoly:
+    """The split by the main variable that `collect_main_var` replaced.
+
+    It canonicalizes the whole of `e` with `normalize`, slices `var`'s
+    column out of every exponent tuple and canonicalizes each bucket again,
+    so `collect_main_var`, which splits packed keys before it unpacks them,
+    must give the same value term for term.
+    """
+    r = normalize(e)
+    num, den = r.numerator, r.denominator
+    if var not in num.symbols:
+        return MainVarPoly(var, (r,))
+    vi = num.symbols.index(var)
+    if any(m[vi] for m in den.terms):
+        raise NotPolynomialInVar(f"denominator contains the main variable '{var}'")
+    reduced = num.symbols[:vi] + num.symbols[vi + 1 :]
+    buckets: dict[int, dict] = {}
+    for mono, c in num.terms.items():
+        buckets.setdefault(mono[vi], {})[mono[:vi] + mono[vi + 1 :]] = c
+    den = MultiPoly(reduced, {m[:vi] + m[vi + 1 :]: c for m, c in den.terms.items()})
+    degree = max(buckets)
+    if degree > MAX_DEGREE:
+        raise AlgebraError(f"degree {degree} in '{var}' is above the limit of {MAX_DEGREE}")
+    coeffs = [
+        make_ratfunc(MultiPoly(reduced, buckets[k]), den) if k in buckets else RATFUNC_ZERO
+        for k in range(degree + 1)
+    ]
+    return MainVarPoly(var, tuple(coeffs))
 
 
 def _parse_error(message: str, span: Span) -> SourceError:

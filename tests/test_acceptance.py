@@ -15,14 +15,13 @@ import pytest
 
 from polybridge import (
     emit_expr,
-    eval_at,
     normalize,
     parse,
     ratfunc_equal,
 )
 from polybridge.cli import CliOptions, main, run
 
-from genlib import eval_at_valid_point, rand_main_var_poly_expr, rand_ratfunc
+from genlib import eval_at, eval_at_valid_point, rand_main_var_poly_expr, rand_ratfunc
 
 FIXTURE = Path(__file__).parent / "fixtures" / "det3x3.txt"
 

@@ -11,7 +11,6 @@ from polybridge import (
     collect_main_var,
     degree_in,
     emit_expr,
-    eval_at,
     normalize,
     parse,
     ratfunc_equal,
@@ -20,12 +19,11 @@ from polybridge import (
 )
 from polybridge.algebra import (
     RATFUNC_ZERO,
-    DivisionByZeroAtPoint,
+    AlgebraError,
     MultiPoly,
     NotPolynomialInVar,
     RatFunc,
     SymbolicExponent,
-    UnboundSymbol,
     ZeroDenominator,
     _exact_quotient,
     _mul,
@@ -46,7 +44,11 @@ from polybridge.expr import (
 )
 
 from genlib import (
+    DivisionByZeroAtPoint,
+    UnboundSymbol,
+    constant_value,
     degree_by_finite_differences,
+    eval_at,
     eval_at_valid_point,
     naive_power,
     naive_product,
@@ -54,6 +56,7 @@ from genlib import (
     rand_main_var_poly_expr,
     rand_point,
     rand_ratfunc,
+    reference_collect,
     reference_num_den,
 )
 
@@ -112,7 +115,7 @@ class TestNormalize:
         assert normalize(parse("x^2.0")) == normalize(parse("x^2"))
 
     def test_exponent_zero(self):
-        assert normalize(parse("x^0")).constant_value() == 1
+        assert constant_value(normalize(parse("x^0"))) == 1
 
     def test_symbolic_exponent_rejected(self):
         with pytest.raises(SymbolicExponent):
@@ -271,7 +274,7 @@ class TestDegreeAndCoefficients:
             collect_main_var(parse("x^(-1)+x"), "x")
 
     def test_identity_coefficient(self):
-        assert coefficient_of(parse("x"), "x", 1).constant_value() == 1
+        assert constant_value(coefficient_of(parse("x"), "x", 1)) == 1
 
     def test_binomial_coefficient(self):
         got = coefficient_of(parse("(x+a)^3"), "x", 1)
@@ -291,7 +294,7 @@ class TestDegreeAndCoefficients:
     def test_collect_expansion(self):
         p = collect_main_var(parse("(x+1)*(x+2)"), "x")
         assert p.degree == 2
-        assert [c.constant_value() for c in p.coeffs] == [2, 3, 1]
+        assert [constant_value(c) for c in p.coeffs] == [2, 3, 1]
 
     def test_collect_symbolic(self):
         p = collect_main_var(parse("β*x + γ"), "x")
@@ -563,7 +566,7 @@ class TestCanonicalInvariants:
                 assert all(type(c) is int for c in poly.terms.values())
 
     def test_rational_constant_value_is_a_fraction(self):
-        value = normalize(parse("1/2")).constant_value()
+        value = constant_value(normalize(parse("1/2")))
         assert type(value) is Fraction
         assert value == Fraction(1, 2)
 
@@ -799,3 +802,72 @@ class TestPackedNormalize:
                     for _ in range(2):
                         point, want = eval_at_valid_point(rng, tree, names)
                         assert eval_at(got, point) == want
+
+
+# Inputs where the main variable's power cancels, sits in a denominator,
+# vanishes, is absent, or needs wide packed fields.
+SPLIT_EDGE_CASES = (
+    "x/x",
+    "(x-x)/(x+1)",
+    "x^2/x",
+    "(x+1)/x",
+    "x-x+a",
+    "x^100000000000",
+    "x^3*a/(x*b)",
+    "(x^2+x)/x",
+    "(x^3+a*x^2)/(b*x^2)",
+    "x^2/(x*(a+1))",
+    "(a*x^2+x^3)/(x^2+b*x^2)",
+    "(x+1)/(x*(x+1))",
+    "x^2/(x^2*a+x*b)",
+    "(a-a)^0*x",
+    "0*x+a/b",
+    "x^300/x^299+a",
+    "a^70000*x^2/(x*b^3)",
+    "x*b^300/b^299",
+    "a*b+c",
+    "x^2+3*x+1",
+    "(x+1)^5/7",
+)
+
+
+class TestSplitMatchesReference:
+    """`collect_main_var` splits packed keys; `reference_collect` splits tuples."""
+
+    @staticmethod
+    def check(tree, var):
+        try:
+            want = reference_collect(tree, var)
+        except AlgebraError as err:
+            with pytest.raises(type(err)) as got:
+                collect_main_var(tree, var)
+            assert str(got.value) == str(err)
+            if isinstance(err, NotPolynomialInVar):
+                with pytest.raises(NotPolynomialInVar):
+                    degree_in(tree, var)
+            return
+        got = collect_main_var(tree, var)
+        assert got == want
+        for g, w in zip(got.coeffs, want.coeffs):
+            assert_identical(g, w)
+        assert degree_in(tree, var) == want.degree
+        for k in (0, want.degree, want.degree + 1):
+            assert coefficient_of(tree, var, k) == (want.coeffs + (RATFUNC_ZERO,))[k]
+
+    @pytest.mark.parametrize("text", SPLIT_EDGE_CASES)
+    def test_edge_cases(self, text):
+        for var in ("x", "a", "z"):
+            self.check(parse(text), var)
+
+    def test_degree_above_the_collect_limit(self):
+        assert degree_in(parse("x^100000000000"), "x") == 100000000000
+
+    def test_random_trees(self):
+        rng = Random(149)
+        trees = [rand_expr_tree(rng, 3, ("a", "b", "x")) for _ in range(300)]
+        trees += [rand_main_var_poly_expr(rng)[0] for _ in range(200)]
+        for tree in trees:
+            # The main variable in the first, a middle and the last field,
+            # and absent.
+            for var in ("a", "b", "x", "z"):
+                self.check(tree, var)

@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "emit_coeff_script",
     "emit_coeff_vector",
     "emit_expr",
-    "eval_at",
     "normalize",
     "parse",
     "ratfunc_equal",
@@ -44,3 +43,14 @@ def test_readme_library_snippet_prints_its_comments():
     # Each comment, in order, is one line the snippet prints.
     comments = re.findall(r"#\s*(.*)", snippet)
     assert out.getvalue().splitlines() == comments
+
+
+def test_readme_lists_the_public_names():
+    # The paragraph from "`import polybridge` exports N names." up to
+    # "Everything else" names each export once, in backticks.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    count, listed = re.search(
+        r"`import polybridge` exports (\d+) names\.(.*?)Everything else", text
+    ).groups()
+    assert int(count) == len(polybridge.__all__)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(polybridge.__all__)

@@ -185,6 +185,35 @@ class TestArrayNameClash:
         assert (code, out) == (0, want)
 
 
+class TestMatlabKeywords:
+    # Matlab parses neither `P(1)=end;` nor `end(1)=1;`.
+    @pytest.mark.parametrize("fmt", ["script", "vector"])
+    def test_keyword_symbols_refused(self, fmt, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, ["--format", fmt], stdin="end*x+for")
+        assert (code, out) == (4, "")
+        assert "Matlab keywords: end, for" in err and "--rename" in err
+
+    @pytest.mark.parametrize("fmt", ["script", "vector", "expr"])
+    def test_keyword_array_name_refused(self, fmt, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, ["--name", "end", "--format", fmt], stdin="x")
+        assert (code, out) == (4, "")
+        assert err == "error: array name 'end' is a Matlab keyword\n"
+
+    def test_renamed_keywords_convert(self, monkeypatch, capsys):
+        argv = ["--rename", "end=e0", "--rename", "for=f0"]
+        code, out, _ = invoke(monkeypatch, capsys, argv, stdin="end*x+for")
+        assert (code, out) == (0, "P(1)=e0;\nP(2)=f0;\n")
+
+    def test_expr_format_prints_keywords(self, monkeypatch, capsys):
+        code, out, _ = invoke(monkeypatch, capsys, ["--format", "expr"], stdin="end*x+for")
+        assert (code, out) == (0, "end*x+for\n")
+
+    def test_keyword_main_variable_converts(self, monkeypatch, capsys):
+        # The main variable is collected away, so it never reaches the output.
+        code, out, _ = invoke(monkeypatch, capsys, ["--var", "end"], stdin="end^2+a")
+        assert (code, out) == (0, "P(1)=1;\nP(2)=0;\nP(3)=a;\n")
+
+
 class TestErrorContracts:
     def test_laurent_input_exits_3(self, monkeypatch, capsys):
         code, out, err = invoke(monkeypatch, capsys, [], stdin="1/x")
@@ -365,16 +394,21 @@ class TestRunApi:
         assert escaped == out == "P=[1, 0, 1];\n"
 
 
-def run_module(args, stdin: bytes) -> subprocess.CompletedProcess:
-    """Run `python -m polybridge` with this checkout's package on the path."""
+def package_env() -> dict[str, str]:
+    """This process's environment with this checkout's package on the path."""
     env = dict(os.environ)
     src = str(Path(polybridge.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(args, stdin: bytes) -> subprocess.CompletedProcess:
+    """Run `python -m polybridge` with this checkout's package on the path."""
     return subprocess.run(
         [sys.executable, "-m", "polybridge", *args],
         input=stdin,
         capture_output=True,
-        env=env,
+        env=package_env(),
         timeout=60,
     )
 
@@ -468,6 +502,14 @@ class TestDeepNesting:
 
 
 class TestModuleEntryPoint:
+    def test_import_skips_fractions_and_decimal(self):
+        # Only a decimal literal needs `fractions`, which imports `decimal`.
+        code = "import sys, polybridge.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=package_env(), timeout=60, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_python_dash_m_runs_without_warnings(self):
         proc = run_module(["--format", "vector"], "β*x+γ".encode("utf-8"))
         assert proc.returncode == 0

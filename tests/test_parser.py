@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polybridge import eval_at, normalize, parse, ratfunc_equal
+from polybridge import normalize, parse, ratfunc_equal
 from polybridge.cli import _strip_statement_terminator
 from polybridge.expr import IntegerLit, Power, Product, Quotient, RationalLit, Sum, SymbolRef
 from polybridge.parser import (
@@ -22,7 +22,14 @@ from polybridge.parser import (
     tokenize,
 )
 
-from genlib import flat_tree, fully_parenthesized, rand_expr_tree, reference_parse, tree_depth
+from genlib import (
+    eval_at,
+    flat_tree,
+    fully_parenthesized,
+    rand_expr_tree,
+    reference_parse,
+    tree_depth,
+)
 
 
 def kinds(text):

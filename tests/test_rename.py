@@ -9,7 +9,6 @@ from polybridge import (
     apply_renames,
     collect_main_var,
     emit_coeff_vector,
-    eval_at,
     parse,
 )
 from polybridge.rename import (
@@ -20,7 +19,7 @@ from polybridge.rename import (
     resolve_renames,
 )
 
-from genlib import eval_at_valid_point, rand_expr_tree
+from genlib import eval_at, eval_at_valid_point, rand_expr_tree
 
 
 class TestDefaultGreekMap:
