@@ -21,9 +21,10 @@ maximum (their total when it cross-multiplies), a power multiplies the
 bound by |k|. The bound is checked before each product or power; when it
 would reach `2**bits` the whole pass restarts at double the width,
 starting from 8 bits, so a high-degree input pays for a cheap aborted
-pass, not for a carry. `normalize` unpacks and sorts each side once;
-`collect_main_var` first splits the numerator by the main variable's
-field, then unpacks and canonicalizes each coefficient once.
+pass, not for a carry. Canonical form is built from packed keys by one
+function, `_canonical`, which unpacks each side once onto the used fields;
+`collect_main_var` first splits the numerator by the main variable's field,
+then canonicalizes each bucket over the shared denominator.
 `ratfunc_equal` is the kernel's only other client: it packs its four sides
 at twice the width of their largest exponent and cross-multiplies.
 
@@ -41,10 +42,11 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
+from functools import reduce
+from itertools import chain
 from math import gcd
-from operator import itemgetter
-from typing import Iterable, Mapping
+from operator import or_
+from typing import Mapping
 
 from .expr import (
     Expr,
@@ -94,17 +96,11 @@ class MultiPoly:
     `terms` holds no zero coefficients and iterates in descending monomial
     order. It is a canonical container with no arithmetic of its own:
     products run on packed keys (`_mul`, `_pow`; see the module
-    docstring), and `_unpack` turns their result into a `MultiPoly`.
+    docstring), and `_canonical` turns their result into `MultiPoly` sides.
     """
 
     symbols: SymbolTable
     terms: dict[Monomial, int]
-
-    @staticmethod
-    def make(symbols: SymbolTable, raw: Mapping[Monomial, int]) -> MultiPoly:
-        items = [(m, c) for m, c in raw.items() if c != 0]
-        items.sort(reverse=True)
-        return MultiPoly(symbols, dict(items))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,13 +113,6 @@ class MultiPoly:
 
     def leading(self) -> tuple[Monomial, int]:
         return next(iter(self.terms.items()))
-
-    def div_monomial(self, g: Monomial) -> MultiPoly:
-        """Quotient by a monomial dividing every term; lex order is kept."""
-        return MultiPoly(
-            self.symbols,
-            {tuple([e - d for e, d in zip(m, g)]): c for m, c in self.terms.items()},
-        )
 
 
 Packed = dict[int, int]
@@ -176,26 +165,6 @@ def _nonzero(terms: Packed) -> Packed:
     return terms
 
 
-def _unpack(symbols: SymbolTable, packed: Packed, bits: int) -> MultiPoly:
-    """The polynomial of `bits`-bit fields, its terms sorted once."""
-    mask = (1 << bits) - 1
-    shifts = range(bits * (len(symbols) - 1), -1, -bits)
-    return MultiPoly(
-        symbols,
-        {tuple([key >> s & mask for s in shifts]): packed[key] for key in sorted(packed, reverse=True)},
-    )
-
-
-def monomial_gcd(monos: Iterable[Monomial]) -> Monomial | None:
-    """The largest monomial dividing all of `monos`, or None if that is 1."""
-    mins = None
-    for mono in monos:
-        mins = mono if mins is None else tuple(map(min, mins, mono))
-        if not any(mins):
-            return None
-    return mins
-
-
 @dataclass(frozen=True)
 class RatFunc:
     """Canonical exact rational function (see module docstring)."""
@@ -210,62 +179,47 @@ class RatFunc:
 RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): 1}))
 
 
-def make_ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Canonicalize a numerator/denominator pair of int polynomials.
+def _canonical(table: SymbolTable, num: Packed, den: Packed, bits: int) -> RatFunc:
+    """The canonical form of packed sides with `bits`-bit fields over `table`.
 
-    Cancels the common monomial, trims unused symbols, divides out the
-    content of the pair and makes the denominator's leading coefficient
-    positive (see the module docstring).
+    Subtracts the common monomial from every key, keeps only the fields some
+    key uses, divides out the content of the pair and makes the
+    denominator's leading coefficient positive (see the module docstring).
+    Each side is unpacked once, sorted by packed key.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDenominator("denominator is identically zero")
-    if num.is_zero():
+    if not num:
         return RATFUNC_ZERO
-    num, den = _cancel_common_monomial(num, den)
-    num, den = _trim_pair(num, den)
+    mask = (1 << bits) - 1
+    shifts = range(bits * (len(table) - 1), -1, -bits)
+    if 0 not in num and 0 not in den:
+        # Every field of every key is at least g's, so no field borrows.
+        g = sum([min([k >> s & mask for k in chain(num, den)]) << s for s in shifts])
+        if g:
+            num = {k - g: c for k, c in num.items()}
+            den = {k - g: c for k, c in den.items()}
+    used = reduce(or_, chain(num, den))
+    kept = [s for s in shifts if used >> s & mask]
+    symbols = tuple([name for name, s in zip(table, shifts) if used >> s & mask])
 
     content = 0
-    for c in chain(num.terms.values(), den.terms.values()):
+    for c in chain(num.values(), den.values()):
         content = gcd(content, c)
         if content == 1:
             break
-    if den.leading()[1] < 0:
+    if den[max(den)] < 0:
         content = -content
     if content != 1:
-        num = MultiPoly(num.symbols, {m: c // content for m, c in num.terms.items()})
-        den = MultiPoly(den.symbols, {m: c // content for m, c in den.terms.items()})
-    return RatFunc(num, den)
+        num = {k: c // content for k, c in num.items()}
+        den = {k: c // content for k, c in den.items()}
 
+    # The dropped fields are zero in every key, so packed order is lex order.
+    def unpack(p: Packed) -> MultiPoly:
+        order = sorted(p, reverse=True)
+        return MultiPoly(symbols, {tuple([k >> s & mask for s in kept]): p[k] for k in order})
 
-def _trim_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    # A column is used if some term has a nonzero exponent in it. Few terms
-    # over many columns transpose in one zip; many terms are scanned column
-    # by column, each scan stopping at its first nonzero exponent.
-    nt, dt, width = num.terms, den.terms, len(num.symbols)
-    if len(nt) + len(dt) <= width:
-        used = list(compress(range(width), map(any, zip(*nt, *dt))))
-    else:
-        used = [
-            i for i in range(width) if any(map(itemgetter(i), nt)) or any(map(itemgetter(i), dt))
-        ]
-    if len(used) == width:
-        return num, den
-    symbols = tuple(num.symbols[i] for i in used)
-
-    # The dropped columns are zero in every term, so lex order is kept.
-    def project(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(symbols, {tuple([m[i] for i in used]): c for m, c in p.terms.items()})
-
-    return project(num), project(den)
-
-
-def _cancel_common_monomial(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    # The denominator goes first: it is usually short and often the
-    # constant 1, which ends the scan at once.
-    g = monomial_gcd(chain(den.terms, num.terms))
-    if g is None:
-        return num, den
-    return num.div_monomial(g), den.div_monomial(g)
+    return RatFunc(unpack(num), unpack(den))
 
 
 class _Widen(Exception):
@@ -299,8 +253,7 @@ def normalize(e: Expr) -> RatFunc:
     exponents contribute to the denominator and Quotient nodes merge by
     cross-multiplication.
     """
-    table, num, den, bits = _packed(e)
-    return make_ratfunc(_unpack(table, num, bits), _unpack(table, den, bits))
+    return _canonical(*_packed(e))
 
 
 # The packed constant 1, to compare a denominator against.
@@ -408,11 +361,12 @@ def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
     return _mul(an, bd) == _mul(bn, ad)
 
 
-def _split(e: Expr, var: str) -> tuple[dict[int, MultiPoly], MultiPoly]:
+def _split(e: Expr, var: str) -> tuple[SymbolTable, dict[int, Packed], Packed, int]:
     """The numerator of `e` bucketed by its power of `var`, and the denominator.
 
-    Both come unpacked on the symbol table without `var`, so each bucket over
-    the shared denominator canonicalizes to one coefficient. The smallest
+    Returns `(table, buckets, den, bits)`: both stay packed, with `var` cut
+    out of every key and of the symbol table, so each bucket over the shared
+    denominator goes to `_canonical` as one coefficient. The smallest
     power of `var` over both sides is cancelled first, as canonical form
     cancels a common monomial (`x^2/x` has degree 1); every denominator term
     must hold `var` to exactly that power. A zero numerator has no buckets.
@@ -434,20 +388,20 @@ def _split(e: Expr, var: str) -> tuple[dict[int, MultiPoly], MultiPoly]:
         buckets = {field - low: bucket for field, bucket in buckets.items()}
         den = {k >> high << shift | k & rest: c for k, c in den.items()}
         table = table[:i] + table[i + 1 :]
-    return {k: _unpack(table, b, bits) for k, b in buckets.items()}, _unpack(table, den, bits)
+    return table, buckets, den, bits
 
 
 def degree_in(e: Expr, var: str) -> int:
     """Largest power of `var` with a nonzero coefficient (0 for constants)."""
-    return max(_split(e, var)[0], default=0)
+    return max(_split(e, var)[1], default=0)
 
 
 def coefficient_of(e: Expr, var: str, k: int) -> RatFunc:
     """The RatFunc multiplying var^k in the canonical form of `e`."""
     if k < 0:
         raise ValueError("coefficient index must be nonnegative")
-    buckets, den = _split(e, var)
-    return make_ratfunc(buckets[k], den) if k in buckets else RATFUNC_ZERO
+    table, buckets, den, bits = _split(e, var)
+    return _canonical(table, buckets[k], den, bits) if k in buckets else RATFUNC_ZERO
 
 
 @dataclass(frozen=True)
@@ -472,7 +426,7 @@ def collect_main_var(e: Expr, var: str) -> MainVarPoly:
     A degree above `MAX_DEGREE` raises AlgebraError before any coefficient
     is built.
     """
-    buckets, den = _split(e, var)
+    table, buckets, den, bits = _split(e, var)
     degree = max(buckets, default=0)
     if degree > MAX_DEGREE:
         try:
@@ -482,7 +436,7 @@ def collect_main_var(e: Expr, var: str) -> MainVarPoly:
         raise AlgebraError(f"degree {shown} in '{var}' is above the limit of {MAX_DEGREE}")
     coeffs = [RATFUNC_ZERO] * (degree + 1)
     for k, bucket in buckets.items():
-        coeffs[k] = make_ratfunc(bucket, den)
+        coeffs[k] = _canonical(table, bucket, den, bits)
     return MainVarPoly(var, tuple(coeffs))
 
 
@@ -508,7 +462,8 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     g = _primitive_gcd(a, b)
     if len(g) < 2:
         return r
-    return make_ratfunc(_exact_quotient(a, g, num.symbols), _exact_quotient(b, g, num.symbols))
+    bits = max(len(a), len(b)).bit_length()
+    return _canonical(num.symbols, _exact_quotient(a, g), _exact_quotient(b, g), bits)
 
 
 def _dense(p: MultiPoly) -> list[int]:
@@ -532,10 +487,11 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _exact_quotient(a: list[int], g: list[int], symbols: SymbolTable) -> MultiPoly:
+def _exact_quotient(a: list[int], g: list[int]) -> Packed:
+    """`a / g` as a packed univariate dict: the key of `t^i` is `i`."""
     q, rem, scaled = _pseudo_divmod(a, g)
     assert not rem and not scaled, "inexact polynomial division"
-    return MultiPoly.make(symbols, {(i,): c for i, c in enumerate(q)})
+    return {i: c for i, c in enumerate(q) if c}
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], bool]:

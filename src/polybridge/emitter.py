@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
-from .algebra import AlgebraError, MainVarPoly, Monomial, MultiPoly, RatFunc, monomial_gcd
+from .algebra import AlgebraError, MainVarPoly, Monomial, MultiPoly, RatFunc
 from .parser import is_ascii_identifier
 
 FORMAT_SCRIPT = "script"
@@ -70,6 +71,24 @@ def _sum_text(p: MultiPoly) -> str:
     return "".join(pieces)
 
 
+def _monomial_gcd(monos: Iterable[Monomial]) -> Monomial | None:
+    """The largest monomial dividing all of `monos`, or None if that is 1."""
+    mins = None
+    for mono in monos:
+        mins = mono if mins is None else tuple(map(min, mins, mono))
+        if not any(mins):
+            return None
+    return mins
+
+
+def _div_monomial(p: MultiPoly, g: Monomial) -> MultiPoly:
+    """Quotient by a monomial dividing every term; lex order is kept."""
+    return MultiPoly(
+        p.symbols,
+        {tuple([e - d for e, d in zip(m, g)]): c for m, c in p.terms.items()},
+    )
+
+
 def _poly_text(p: MultiPoly) -> tuple[str, bool]:
     """Render a polynomial; the flag reports whether the top level is a sum.
 
@@ -80,10 +99,10 @@ def _poly_text(p: MultiPoly) -> tuple[str, bool]:
         return "0", False
     if len(p.terms) > 1:
         # A constant term, if any, comes last and ends the scan at once.
-        common = monomial_gcd(reversed(p.terms))
+        common = _monomial_gcd(reversed(p.terms))
         if common is not None:
             head = "*".join(_monomial_text(p.symbols, common))
-            return f"{head}*({_sum_text(p.div_monomial(common))})", False
+            return f"{head}*({_sum_text(_div_monomial(p, common))})", False
     return _sum_text(p), len(p.terms) > 1
 
 

@@ -167,9 +167,11 @@ def parse(input_text: str) -> Expr:
     Raises SourceError (kind "lex" or "parse") with a character span on any
     malformed input, including empty input. The parser keeps its state on
     an explicit stack, so nesting depth is bounded by memory alone; the
-    tree walks of `normalize`, `collect_main_var` and `substitute` still
-    recurse and raise a bare RecursionError on a tree nested deeper than
-    Python's recursion limit (only `cli.run` maps it to exit 3).
+    tree walks of `normalize`, `collect_main_var`, `degree_in`,
+    `coefficient_of`, `substitute` and `apply_renames` (when a rule
+    applies) still recurse and raise a bare RecursionError on a tree
+    nested deeper than Python's recursion limit (only `cli.run` maps it
+    to exit 3).
     """
     tokens = tokenize(input_text)
     if tokens[0].kind == END:

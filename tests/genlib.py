@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from random import Random
 from typing import Callable, Mapping, Union
 
@@ -19,7 +20,6 @@ from polybridge.algebra import (
     RatFunc,
     SymbolicExponent,
     ZeroDenominator,
-    make_ratfunc,
 )
 from polybridge.expr import (
     Expr,
@@ -74,6 +74,70 @@ def rand_poly_terms(
     return terms
 
 
+def make_poly(symbols: tuple[str, ...], raw: Mapping[tuple[int, ...], int]) -> MultiPoly:
+    """The polynomial of `raw`'s nonzero terms in descending monomial order."""
+    return MultiPoly(symbols, dict(sorted(((m, c) for m, c in raw.items() if c), reverse=True)))
+
+
+def make_ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    """The reference canonicalizer, on exponent tuples over one symbol table.
+
+    Column by column it subtracts the smallest exponent over both sides and
+    drops the columns that are then zero in every term; it divides every
+    coefficient by the content of the pair, signed so that the leading
+    denominator coefficient is positive, and sorts both sides. It shares no
+    code with `algebra._canonical`, which must give the same value term for
+    term and in the same order.
+    """
+    if not den.terms:
+        raise ZeroDenominator("denominator is identically zero")
+    if not num.terms:
+        return RATFUNC_ZERO
+    monos = [*num.terms, *den.terms]
+    width = len(num.symbols)
+    low = [min(m[i] for m in monos) for i in range(width)]
+    used = [i for i in range(width) if any(m[i] != low[i] for m in monos)]
+    content = gcd(*num.terms.values(), *den.terms.values())
+    if den.terms[max(den.terms)] < 0:
+        content = -content
+
+    def side(p: MultiPoly) -> MultiPoly:
+        return make_poly(
+            tuple(p.symbols[i] for i in used),
+            {tuple(m[i] - low[i] for i in used): c // content for m, c in p.terms.items()},
+        )
+
+    return RatFunc(side(num), side(den))
+
+
+def rand_canonical_input(rng: Random) -> tuple[tuple[str, ...], dict, dict, int]:
+    """Exponent-tuple sides for a canonicalizer, and a field width that holds them.
+
+    0-4 symbols and a width of 1-16 bits. A column may be unused or shared by
+    every term; the sides may carry an injected common monomial, non-unit
+    content and a negative leading denominator coefficient; the numerator
+    may be zero, and either side constant.
+    """
+    width = rng.randint(0, 4)
+    symbols = tuple(sorted(rng.sample(SYMBOL_POOL, width)))
+    bits = rng.randint(1, 16)
+    top = (1 << bits) - 1
+    common = tuple(rng.choice((0, 0, rng.randint(0, top))) for _ in range(width))
+    spread = [rng.choice((0, top - g, rng.randint(0, top - g))) for g in common]
+    scale = rng.choice((1, 1, -1, 2, 6, -15, 2**70))
+
+    def side(max_terms: int) -> dict:
+        if rng.random() < 0.2:
+            return {common: rand_coeff(rng) * scale}
+        return {
+            tuple(g + rng.randint(0, s) for g, s in zip(common, spread)): rand_coeff(rng) * scale
+            for _ in range(rng.randint(1, max_terms))
+        }
+
+    num = {} if rng.random() < 0.1 else side(6)
+    return symbols, num, side(3), bits
+
+
 def rand_ratfunc(rng: Random) -> RatFunc:
     """A random canonical rational function (possibly zero or constant)."""
     width = rng.randint(0, 3)
@@ -86,9 +150,9 @@ def rand_ratfunc(rng: Random) -> RatFunc:
         den = {(0,) * width: rng.randint(1, 9)}
     else:
         den = rand_poly_terms(rng, width, max_terms=3, max_exp=3)
-        if not MultiPoly.make(symbols, den).terms:
+        if not make_poly(symbols, den).terms:
             den = {(0,) * width: 1}
-    return make_ratfunc(MultiPoly.make(symbols, num), MultiPoly.make(symbols, den))
+    return make_ratfunc(make_poly(symbols, num), make_poly(symbols, den))
 
 
 def rand_expr_tree(rng: Random, depth: int, names: tuple[str, ...]) -> Expr:

@@ -25,11 +25,11 @@ from polybridge.algebra import (
     RatFunc,
     SymbolicExponent,
     ZeroDenominator,
+    _canonical,
     _exact_quotient,
     _mul,
     _pow,
     _to_num_den,
-    make_ratfunc,
 )
 from polybridge.expr import (
     IntegerLit,
@@ -50,8 +50,11 @@ from genlib import (
     degree_by_finite_differences,
     eval_at,
     eval_at_valid_point,
+    make_poly,
+    make_ratfunc,
     naive_power,
     naive_product,
+    rand_canonical_input,
     rand_expr_tree,
     rand_main_var_poly_expr,
     rand_point,
@@ -183,7 +186,7 @@ class TestRatFuncEqual:
             bumped_terms = dict(r.numerator.terms)
             corner = (top,) * len(table)
             bumped_terms[corner] = bumped_terms.get(corner, 0) + 7
-            bumped = make_ratfunc(MultiPoly.make(table, bumped_terms), r.denominator)
+            bumped = make_ratfunc(make_poly(table, bumped_terms), r.denominator)
             assert not naive_equal(r, bumped)
             pairs += [(r, times_g), (r, bumped), (r, rand_side(rng, sb, top)), (r, RATFUNC_ZERO)]
         seen = set()
@@ -200,7 +203,7 @@ def rand_side(rng: Random, symbols: tuple[str, ...], top: int) -> RatFunc:
     width = len(symbols)
     num = {} if rng.random() < 0.1 else rand_terms(rng, width, rng.randint(0, 3), top)
     den = rand_terms(rng, width, rng.randint(0, 2), rng.choice((0, top))) or {(): 1}
-    return make_ratfunc(MultiPoly.make(symbols, num), MultiPoly.make(symbols, den))
+    return make_ratfunc(make_poly(symbols, num), make_poly(symbols, den))
 
 
 def carry_pair(top: int) -> tuple[RatFunc, RatFunc]:
@@ -450,7 +453,7 @@ class TestSimplify:
     )
     def test_exact_quotient_asserts_exactness(self, a, g):
         with pytest.raises(AssertionError, match="inexact"):
-            _exact_quotient(a, g, ("t",))
+            _exact_quotient(a, g)
 
 
 class TestEval:
@@ -486,39 +489,45 @@ class TestEval:
             assert direct == eval_at(r, point)
 
 
+def assert_canonical(r: RatFunc):
+    num, den = r.numerator, r.denominator
+    assert num.symbols == den.symbols
+    assert not den.is_zero()
+    coeffs = list(num.terms.values()) + list(den.terms.values())
+    # integer coefficients with unit content
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
+    # positive leading denominator coefficient
+    assert den.leading()[1] > 0
+    # no common monomial factor across numerator and denominator
+    if num.terms:
+        width = len(num.symbols)
+        monos = list(num.terms) + list(den.terms)
+        assert all(min(m[i] for m in monos) == 0 for i in range(width))
+    # symbol table trimmed to symbols that occur
+    used = {
+        num.symbols[i]
+        for mono in list(num.terms) + list(den.terms)
+        for i, e in enumerate(mono)
+        if e
+    }
+    assert set(num.symbols) == used
+    # iteration is in descending monomial order
+    for poly in (num, den):
+        keys = list(poly.terms)
+        assert keys == sorted(keys, reverse=True)
+
+
+def canonical_of(symbols: tuple, num: dict, den: dict, bits: int) -> RatFunc:
+    return _canonical(symbols, pack(num, bits), pack(den, bits), bits)
+
+
 class TestCanonicalInvariants:
     def test_random_canonical_values(self):
-        rng = Random(97)
+        rng, packed_rng = Random(97), Random(98)
         for _ in range(200):
-            r = rand_ratfunc(rng)
-            num, den = r.numerator, r.denominator
-            assert num.symbols == den.symbols
-            assert not den.is_zero()
-            coeffs = list(num.terms.values()) + list(den.terms.values())
-            # integer coefficients with unit content
-            assert all(c.denominator == 1 for c in coeffs)
-            assert gcd(*(int(c) for c in coeffs)) == 1
-            # positive leading denominator coefficient
-            assert den.leading()[1] > 0
-            # no common monomial factor across numerator and denominator
-            if num.terms:
-                width = len(num.symbols)
-                monos = list(num.terms) + list(den.terms)
-                assert all(
-                    min(m[i] for m in monos) == 0 for i in range(width)
-                )
-            # symbol table trimmed to symbols that occur
-            used = {
-                num.symbols[i]
-                for mono in list(num.terms) + list(den.terms)
-                for i, e in enumerate(mono)
-                if e
-            }
-            assert set(num.symbols) == used
-            # iteration is in descending monomial order
-            for poly in (num, den):
-                keys = list(poly.terms)
-                assert keys == sorted(keys, reverse=True)
+            assert_canonical(rand_ratfunc(rng))
+            assert_canonical(canonical_of(*rand_canonical_input(packed_rng)))
 
     def test_collected_coefficients_are_canonical(self):
         rng = Random(107)
@@ -569,6 +578,45 @@ class TestCanonicalInvariants:
         value = constant_value(normalize(parse("1/2")))
         assert type(value) is Fraction
         assert value == Fraction(1, 2)
+
+
+class TestCanonicalMatchesReference:
+    """`_canonical` on packed keys against `make_ratfunc` on exponent tuples."""
+
+    def test_random_sides(self):
+        rng = Random(151)
+        seen = set()
+        for _ in range(1500):
+            symbols, num, den, bits = rand_canonical_input(rng)
+            want = make_ratfunc(make_poly(symbols, num), make_poly(symbols, den))
+            assert_identical(canonical_of(symbols, num, den, bits), want)
+            seen.add((len(symbols), bits))
+        assert {w for w, _ in seen} == set(range(5))
+        assert {b for _, b in seen} == set(range(1, 17))
+
+    @pytest.mark.parametrize(
+        "num, den, want_num, want_den",
+        [
+            # x^2*y/(x*y^3) over (w, x, y): w unused, x*y common.
+            ({(0, 2, 1): 1}, {(0, 1, 3): 1}, {(1, 0): 1}, {(0, 2): 1}),
+            # -2*x/(-4*x*y): content -2, then y alone is left.
+            ({(0, 1, 0): -2}, {(0, 1, 1): -4}, {(0,): 1}, {(1,): 2}),
+            # Constant sides keep the common monomial scan from starting.
+            ({(0, 0, 0): 3, (0, 1, 0): 6}, {(0, 0, 0): 9}, {(1,): 2, (0,): 1}, {(0,): 3}),
+            ({(1, 1, 1): 5}, {(0, 0, 0): -10}, {(1, 1, 1): -1}, {(0, 0, 0): 2}),
+        ],
+    )
+    def test_edge_cases(self, num, den, want_num, want_den):
+        symbols = ("w", "x", "y")
+        want = make_ratfunc(make_poly(symbols, num), make_poly(symbols, den))
+        assert (want.numerator.terms, want.denominator.terms) == (want_num, want_den)
+        for bits in (2, 3, 16):
+            assert_identical(canonical_of(symbols, num, den, bits), want)
+
+    def test_zero_sides(self):
+        assert canonical_of(("x",), {}, {(3,): -2}, 2) is RATFUNC_ZERO
+        with pytest.raises(ZeroDenominator):
+            canonical_of(("x",), {(1,): 1}, {}, 2)
 
 
 def rand_terms(rng: Random, width: int, n_terms: int, top: int) -> dict:
