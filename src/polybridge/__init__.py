@@ -18,7 +18,6 @@ from .algebra import (
     collect_main_var,
     degree_in,
     normalize,
-    ratfunc_equal,
     simplify,
 )
 from .emitter import EmitConfig, emit_coeff_script, emit_coeff_vector, emit_expr
@@ -43,7 +42,6 @@ __all__ = [
     "emit_expr",
     "normalize",
     "parse",
-    "ratfunc_equal",
     "simplify",
     "substitute",
 ]

@@ -1,40 +1,37 @@
 """Exact multivariate rational-function arithmetic with int coefficients.
 
-Representation. A polynomial maps monomials to nonzero int coefficients,
-where a monomial is an exponent tuple aligned with the polynomial's symbol
-table (symbol names sorted lexicographically by code point). Monomials
-compare under pure lexicographic order on exponent vectors; term dicts are
-stored in descending monomial order so iteration and emission are
-deterministic. Rational literals arrive as an integer numerator and
-denominator and rational content folds into the numerator/denominator
-pair, so the coefficient ring is Z everywhere.
+Representation. A polynomial maps packed monomial keys to nonzero int
+coefficients (Monagan & Pearce, CASC 2007). Its symbol table is sorted
+lexicographically by code point, and a key holds one field of `bits` bits
+per symbol, the first symbol in the most significant field, so multiplying
+monomials is one int addition and int order is pure lexicographic order on
+exponent vectors. Term dicts are stored in descending key order, so
+iteration and emission are deterministic. Rational literals arrive as an
+integer numerator and denominator and rational content folds into the
+numerator/denominator pair, so the coefficient ring is Z everywhere.
 
-Packed keys. Arithmetic runs on packed-exponent term dicts `{key: int}`
-(Monagan & Pearce, CASC 2007): a monomial packs into one int with a fixed
-field width per symbol, the first symbol in the most significant field, so
-multiplying monomials is one int addition and int order is lex order.
-`_packed` packs at the leaves (a symbol is the key `1 << shift`, a
-constant the key 0) and combines every node through one schoolbook product
-kernel, `_mul`, and its power routine `_pow`. Each intermediate carries an
-upper bound on any single exponent: products add bounds, a sum takes their
-maximum (their total when it cross-multiplies), a power multiplies the
-bound by |k|. The bound is checked before each product or power; when it
-would reach `2**bits` the whole pass restarts at double the width,
-starting from 8 bits, so a high-degree input pays for a cheap aborted
-pass, not for a carry. Canonical form is built from packed keys by one
-function, `_canonical`, which unpacks each side once onto the used fields;
-`collect_main_var` first splits the numerator by the main variable's field,
-then canonicalizes each bucket over the shared denominator.
-`ratfunc_equal` is the kernel's only other client: it packs its four sides
-at twice the width of their largest exponent and cross-multiplies.
+Arithmetic. `_packed` packs at the leaves (a symbol is the key
+`1 << shift`, a constant the key 0) and combines every node through one
+schoolbook product kernel, `_mul`, and its power routine `_pow`. Each
+intermediate carries an upper bound on any single exponent: products add
+bounds, a sum takes their maximum (their total when it cross-multiplies), a
+power multiplies the bound by |k|. The bound is checked before each product
+or power; when it would reach `2**bits` the whole pass restarts at double
+the width, starting from 8 bits, so a high-degree input pays for a cheap
+aborted pass, not for a carry. Canonical form is built from packed keys by
+one function, `_canonical`; `collect_main_var` first splits the numerator
+by the main variable's field, then canonicalizes each bucket over the
+shared denominator.
 
 Canonical rational functions additionally guarantee: the symbol table is
 trimmed to symbols that actually occur, any monomial dividing every term
 of both numerator and denominator is cancelled, all coefficients are
 ints with unit content across the pair, and the denominator's leading
-coefficient is positive. Full multivariate GCD reduction is deliberately
-not performed; semantic equality is decided by cross-multiplication
-(`ratfunc_equal`).
+coefficient is positive. Both sides share the symbol table and the field
+width, which is the smallest of 8, 16, 32, ... bits that holds every
+exponent of the pair, so `==` compares canonical forms. Full multivariate
+GCD reduction is deliberately not performed, so two equal values may have
+different canonical forms (`(a^2-b^2)/(a-b)` and `a+b`).
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from functools import reduce
 from itertools import chain
 from math import gcd
 from operator import or_
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .expr import (
     Expr,
@@ -61,8 +58,8 @@ from .expr import (
     symbols_of,
 )
 
-Monomial = tuple[int, ...]
 SymbolTable = tuple[str, ...]
+Packed = dict[int, int]
 
 # Largest main-variable degree that `collect_main_var` splits into a dense
 # tuple of degree + 1 coefficients (one script line each).
@@ -89,33 +86,50 @@ class NotPolynomialInVar(AlgebraError):
     """The main variable occurs in a denominator."""
 
 
+def field_layout(width: int, bits: int) -> tuple[range, int]:
+    """The shifts of `width` fields of `bits` bits, the first field most
+    significant, and the mask of one field."""
+    return range(bits * (width - 1), -1, -bits), (1 << bits) - 1
+
+
+def common_monomial(keys: Iterable[int], shifts: range, mask: int) -> int:
+    """The packed per-field minimum of `keys`: the largest monomial dividing
+    every one. It returns 0 as soon as every field has met a zero."""
+    keys = iter(keys)
+    g = next(keys, 0)
+    for k in keys:
+        if not g:
+            break
+        g = sum([min(g >> s & mask, k >> s & mask) << s for s in shifts])
+    return g
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Sparse multivariate polynomial with int coefficients.
 
-    `terms` holds no zero coefficients and iterates in descending monomial
-    order. It is a canonical container with no arithmetic of its own:
-    products run on packed keys (`_mul`, `_pow`; see the module
-    docstring), and `_canonical` turns their result into `MultiPoly` sides.
+    `terms` maps packed keys of `bits`-bit fields, one per symbol of
+    `symbols`, to nonzero coefficients, in descending key order; the two
+    sides of a `RatFunc` share `symbols` and the canonical `bits`. It has no
+    arithmetic of its own: products run on packed term dicts (`_mul`,
+    `_pow`), and `_canonical` turns their result into `MultiPoly` sides.
     """
 
     symbols: SymbolTable
-    terms: dict[Monomial, int]
+    terms: Packed
+    bits: int
+
+    def layout(self) -> tuple[range, int]:
+        return field_layout(len(self.symbols), self.bits)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in mono) for mono in self.terms)
+        return not any(self.terms)
 
-    def constant_value(self) -> int:
-        return self.terms.get((0,) * len(self.symbols), 0)
-
-    def leading(self) -> tuple[Monomial, int]:
+    def leading(self) -> tuple[int, int]:
         return next(iter(self.terms.items()))
-
-
-Packed = dict[int, int]
 
 
 def _mul(a: Packed, b: Packed) -> Packed:
@@ -176,7 +190,7 @@ class RatFunc:
         return self.numerator.is_zero()
 
 
-RATFUNC_ZERO = RatFunc(MultiPoly((), {}), MultiPoly((), {(): 1}))
+RATFUNC_ZERO = RatFunc(MultiPoly((), {}, 8), MultiPoly((), {0: 1}, 8))
 
 
 def _canonical(table: SymbolTable, num: Packed, den: Packed, bits: int) -> RatFunc:
@@ -185,23 +199,29 @@ def _canonical(table: SymbolTable, num: Packed, den: Packed, bits: int) -> RatFu
     Subtracts the common monomial from every key, keeps only the fields some
     key uses, divides out the content of the pair and makes the
     denominator's leading coefficient positive (see the module docstring).
-    Each side is unpacked once, sorted by packed key.
+    The keys are re-packed only when a field is dropped or the canonical
+    width differs from `bits`; both keep packed order lex order.
     """
     if not den:
         raise ZeroDenominator("denominator is identically zero")
     if not num:
         return RATFUNC_ZERO
-    mask = (1 << bits) - 1
-    shifts = range(bits * (len(table) - 1), -1, -bits)
+    shifts, mask = field_layout(len(table), bits)
     if 0 not in num and 0 not in den:
         # Every field of every key is at least g's, so no field borrows.
-        g = sum([min([k >> s & mask for k in chain(num, den)]) << s for s in shifts])
+        g = common_monomial(chain(num, den), shifts, mask)
         if g:
             num = {k - g: c for k, c in num.items()}
             den = {k - g: c for k, c in den.items()}
     used = reduce(or_, chain(num, den))
     kept = [s for s in shifts if used >> s & mask]
     symbols = tuple([name for name, s in zip(table, shifts) if used >> s & mask])
+    # A field of `used` has the bit length of the field's largest exponent.
+    width = 8
+    while width < bits and any((used >> s & mask) >> width for s in kept):
+        width *= 2
+    moves = list(zip(kept, range(width * (len(kept) - 1), -1, -width)))
+    repack = len(kept) < len(table) or width != bits
 
     content = 0
     for c in chain(num.values(), den.values()):
@@ -210,16 +230,15 @@ def _canonical(table: SymbolTable, num: Packed, den: Packed, bits: int) -> RatFu
             break
     if den[max(den)] < 0:
         content = -content
-    if content != 1:
-        num = {k: c // content for k, c in num.items()}
-        den = {k: c // content for k, c in den.items()}
 
-    # The dropped fields are zero in every key, so packed order is lex order.
-    def unpack(p: Packed) -> MultiPoly:
-        order = sorted(p, reverse=True)
-        return MultiPoly(symbols, {tuple([k >> s & mask for s in kept]): p[k] for k in order})
+    def side(p: Packed) -> MultiPoly:
+        keys = sorted(p, reverse=True)
+        coeffs = [p[k] // content for k in keys] if content != 1 else [p[k] for k in keys]
+        if repack:
+            keys = [sum([(k >> s & mask) << t for s, t in moves]) for k in keys]
+        return MultiPoly(symbols, dict(zip(keys, coeffs)), width)
 
-    return RatFunc(unpack(num), unpack(den))
+    return RatFunc(side(num), side(den))
 
 
 class _Widen(Exception):
@@ -343,24 +362,6 @@ def _integer_constant(num: Packed, den: Packed) -> int | None:
     return None if rest else k
 
 
-def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
-    """Exact equality by cross-multiplication (no GCD reduction needed).
-
-    The four sides pack by symbol name onto their merged, sorted table.
-    Each field holds twice the largest exponent, so no product carries.
-    """
-    sides = (a.numerator, b.denominator, b.numerator, a.denominator)
-    table = sorted(set().union(*(p.symbols for p in sides)))
-    top = max((e for p in sides for m in p.terms for e in m), default=0)
-    bits = (2 * top).bit_length() or 1
-    shifts = {name: bits * i for i, name in enumerate(reversed(table))}
-    an, bd, bn, ad = (
-        {sum([e << shifts[s] for s, e in zip(p.symbols, m)]): c for m, c in p.terms.items()}
-        for p in sides
-    )
-    return _mul(an, bd) == _mul(bn, ad)
-
-
 def _split(e: Expr, var: str) -> tuple[SymbolTable, dict[int, Packed], Packed, int]:
     """The numerator of `e` bucketed by its power of `var`, and the denominator.
 
@@ -375,8 +376,9 @@ def _split(e: Expr, var: str) -> tuple[SymbolTable, dict[int, Packed], Packed, i
     buckets = {0: num} if num else {}
     if num and var in table:
         i = table.index(var)
-        shift = bits * (len(table) - 1 - i)
-        mask, rest, high = (1 << bits) - 1, (1 << shift) - 1, shift + bits
+        shifts, mask = field_layout(len(table), bits)
+        shift = shifts[i]
+        rest, high = (1 << shift) - 1, shift + bits
         buckets = defaultdict(dict)
         for k, c in num.items():
             # The key without var's field: the fields above it move down.
@@ -462,14 +464,14 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     g = _primitive_gcd(a, b)
     if len(g) < 2:
         return r
-    bits = max(len(a), len(b)).bit_length()
-    return _canonical(num.symbols, _exact_quotient(a, g), _exact_quotient(b, g), bits)
+    return _canonical(num.symbols, _exact_quotient(a, g), _exact_quotient(b, g), num.bits)
 
 
 def _dense(p: MultiPoly) -> list[int]:
-    """Coefficients of a univariate polynomial, constant term first."""
-    out = [0] * (p.leading()[0][0] + 1)
-    for (e,), c in p.terms.items():
+    """Coefficients of a univariate polynomial, constant term first; a
+    univariate key is its exponent."""
+    out = [0] * (p.leading()[0] + 1)
+    for e, c in p.terms.items():
         out[e] = c
     return out
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
-from .algebra import AlgebraError, MainVarPoly, Monomial, MultiPoly, RatFunc
+from .algebra import AlgebraError, MainVarPoly, MultiPoly, RatFunc, common_monomial
 from .parser import is_ascii_identifier
 
 FORMAT_SCRIPT = "script"
@@ -45,48 +44,27 @@ class EmitConfig:
             raise ValueError(f"array name {self.array_name!r} is a Matlab keyword")
 
 
-def _monomial_text(symbols: tuple[str, ...], mono: Monomial) -> list[str]:
+def _monomial_text(key: int, fields: list[tuple[str, int]], mask: int) -> list[str]:
     parts = []
-    for name, e in zip(symbols, mono):
+    for name, s in fields:
+        e = key >> s & mask
         if e == 1:
             parts.append(name)
-        elif e > 1:
+        elif e:
             parts.append(f"{name}^{e}")
     return parts
 
 
-def _term_text(symbols: tuple[str, ...], mono: Monomial, coeff: int) -> str:
-    magnitude = abs(coeff)
-    parts = _monomial_text(symbols, mono)
-    if magnitude != 1 or not parts:
-        parts.insert(0, str(magnitude))
-    return "*".join(parts)
-
-
-def _sum_text(p: MultiPoly) -> str:
+def _sum_text(terms: dict[int, int], fields: list[tuple[str, int]], mask: int) -> str:
     pieces = []
-    for mono, coeff in p.terms.items():
+    for key, coeff in terms.items():
+        parts = _monomial_text(key, fields, mask)
+        magnitude = abs(coeff)
+        if magnitude != 1 or not parts:
+            parts.insert(0, str(magnitude))
         sign = "-" if coeff < 0 else ("+" if pieces else "")
-        pieces.append(sign + _term_text(p.symbols, mono, coeff))
+        pieces.append(sign + "*".join(parts))
     return "".join(pieces)
-
-
-def _monomial_gcd(monos: Iterable[Monomial]) -> Monomial | None:
-    """The largest monomial dividing all of `monos`, or None if that is 1."""
-    mins = None
-    for mono in monos:
-        mins = mono if mins is None else tuple(map(min, mins, mono))
-        if not any(mins):
-            return None
-    return mins
-
-
-def _div_monomial(p: MultiPoly, g: Monomial) -> MultiPoly:
-    """Quotient by a monomial dividing every term; lex order is kept."""
-    return MultiPoly(
-        p.symbols,
-        {tuple([e - d for e, d in zip(m, g)]): c for m, c in p.terms.items()},
-    )
 
 
 def _poly_text(p: MultiPoly) -> tuple[str, bool]:
@@ -97,13 +75,17 @@ def _poly_text(p: MultiPoly) -> tuple[str, bool]:
     """
     if p.is_zero():
         return "0", False
-    if len(p.terms) > 1:
+    shifts, mask = p.layout()
+    fields = list(zip(p.symbols, shifts))
+    terms = p.terms
+    if len(terms) > 1:
         # A constant term, if any, comes last and ends the scan at once.
-        common = _monomial_gcd(reversed(p.terms))
-        if common is not None:
-            head = "*".join(_monomial_text(p.symbols, common))
-            return f"{head}*({_sum_text(_div_monomial(p, common))})", False
-    return _sum_text(p), len(p.terms) > 1
+        g = common_monomial(reversed(terms), shifts, mask)
+        if g:
+            head = "*".join(_monomial_text(g, fields, mask))
+            rest = _sum_text({k - g: c for k, c in terms.items()}, fields, mask)
+            return f"{head}*({rest})", False
+    return _sum_text(terms, fields, mask), len(terms) > 1
 
 
 def _is_divisor_atom(p: MultiPoly) -> bool:
@@ -114,10 +96,11 @@ def _is_divisor_atom(p: MultiPoly) -> bool:
     """
     if len(p.terms) != 1:
         return False
-    (mono, coeff), = p.terms.items()
-    if not any(mono):
+    ((key, coeff),) = p.terms.items()
+    if not key:
         return coeff > 0
-    return coeff == 1 and sum(1 for e in mono if e) == 1
+    shifts, mask = p.layout()
+    return coeff == 1 and sum(1 for s in shifts if key >> s & mask) == 1
 
 
 def emit_expr(r: RatFunc) -> str:
@@ -131,7 +114,7 @@ def emit_expr(r: RatFunc) -> str:
     try:
         num_text, num_is_sum = _poly_text(r.numerator)
         den = r.denominator
-        if den.is_constant() and den.constant_value() == 1:
+        if den.terms == {0: 1}:
             return num_text
         if num_is_sum:
             num_text = f"({num_text})"

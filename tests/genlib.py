@@ -20,6 +20,7 @@ from polybridge.algebra import (
     RatFunc,
     SymbolicExponent,
     ZeroDenominator,
+    _canonical,
 )
 from polybridge.expr import (
     Expr,
@@ -74,9 +75,40 @@ def rand_poly_terms(
     return terms
 
 
-def make_poly(symbols: tuple[str, ...], raw: Mapping[tuple[int, ...], int]) -> MultiPoly:
-    """The polynomial of `raw`'s nonzero terms in descending monomial order."""
-    return MultiPoly(symbols, dict(sorted(((m, c) for m, c in raw.items() if c), reverse=True)))
+def canonical_width(top: int) -> int:
+    """The smallest of 8, 16, 32, ... bits that holds the exponent `top`."""
+    bits = 8
+    while top >> bits:
+        bits *= 2
+    return bits
+
+
+def make_poly(
+    symbols: tuple[str, ...], raw: Mapping[tuple[int, ...], int], bits: int | None = None
+) -> MultiPoly:
+    """The polynomial of `raw`'s nonzero terms, written on exponent tuples.
+
+    Its keys hold one field of `bits` bits per exponent, the first most
+    significant, by default the canonical width of its largest exponent,
+    and iterate in descending order.
+    """
+    if bits is None:
+        bits = canonical_width(max(chain.from_iterable(raw), default=0))
+    packed = {}
+    for mono, c in raw.items():
+        key = 0
+        for e in mono:
+            key = key << bits | e
+        if c:
+            packed[key] = c
+    return MultiPoly(symbols, dict(sorted(packed.items(), reverse=True)), bits)
+
+
+def unpack(p: MultiPoly) -> dict[tuple[int, ...], int]:
+    """The terms of `p` on exponent tuples over `p.symbols`, in `p`'s order."""
+    mask = (1 << p.bits) - 1
+    shifts = [p.bits * i for i in reversed(range(len(p.symbols)))]
+    return {tuple(key >> s & mask for s in shifts): c for key, c in p.terms.items()}
 
 
 def make_ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
@@ -85,29 +117,128 @@ def make_ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
     Column by column it subtracts the smallest exponent over both sides and
     drops the columns that are then zero in every term; it divides every
     coefficient by the content of the pair, signed so that the leading
-    denominator coefficient is positive, and sorts both sides. It shares no
-    code with `algebra._canonical`, which must give the same value term for
-    term and in the same order.
+    denominator coefficient is positive, and packs both sides at the
+    canonical width of the pair. It shares no code with `algebra._canonical`,
+    which must give the same value term for term and in the same order.
     """
     if not den.terms:
         raise ZeroDenominator("denominator is identically zero")
     if not num.terms:
         return RATFUNC_ZERO
-    monos = [*num.terms, *den.terms]
+    num_terms, den_terms = unpack(num), unpack(den)
+    monos = [*num_terms, *den_terms]
     width = len(num.symbols)
     low = [min(m[i] for m in monos) for i in range(width)]
     used = [i for i in range(width) if any(m[i] != low[i] for m in monos)]
-    content = gcd(*num.terms.values(), *den.terms.values())
-    if den.terms[max(den.terms)] < 0:
+    content = gcd(*num_terms.values(), *den_terms.values())
+    if den_terms[max(den_terms)] < 0:
         content = -content
+    bits = canonical_width(max((m[i] - low[i] for m in monos for i in used), default=0))
 
-    def side(p: MultiPoly) -> MultiPoly:
+    def side(terms: dict) -> MultiPoly:
         return make_poly(
-            tuple(p.symbols[i] for i in used),
-            {tuple(m[i] - low[i] for i in used): c // content for m, c in p.terms.items()},
+            tuple(num.symbols[i] for i in used),
+            {tuple(m[i] - low[i] for i in used): c // content for m, c in terms.items()},
+            bits,
         )
 
-    return RatFunc(side(num), side(den))
+    return RatFunc(side(num_terms), side(den_terms))
+
+
+def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
+    """Exact equality of values by cross-multiplication: the semantic oracle.
+
+    Canonical form does no multivariate GCD reduction, so `==` can tell equal
+    values apart. The four sides are unpacked onto their merged, sorted
+    symbol table and multiplied by `naive_product`, which shares no code
+    with `algebra._mul`.
+    """
+    sides = (a.numerator, b.denominator, b.numerator, a.denominator)
+    table = tuple(sorted(set().union(*(p.symbols for p in sides))))
+    an, bd, bn, ad = (
+        {tuple(dict(zip(p.symbols, m)).get(s, 0) for s in table): c for m, c in unpack(p).items()}
+        for p in sides
+    )
+    return naive_product(an, bd) == naive_product(bn, ad)
+
+
+def _monomial_text(symbols: tuple[str, ...], mono: tuple[int, ...]) -> list[str]:
+    parts = []
+    for name, e in zip(symbols, mono):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return parts
+
+
+def _term_text(symbols: tuple[str, ...], mono: tuple[int, ...], coeff: int) -> str:
+    magnitude = abs(coeff)
+    parts = _monomial_text(symbols, mono)
+    if magnitude != 1 or not parts:
+        parts.insert(0, str(magnitude))
+    return "*".join(parts)
+
+
+def _sum_text(symbols: tuple[str, ...], terms: dict) -> str:
+    pieces = []
+    for mono, coeff in terms.items():
+        sign = "-" if coeff < 0 else ("+" if pieces else "")
+        pieces.append(sign + _term_text(symbols, mono, coeff))
+    return "".join(pieces)
+
+
+def _monomial_gcd(monos) -> tuple[int, ...] | None:
+    """The largest monomial dividing all of `monos`, or None if that is 1."""
+    mins = None
+    for mono in monos:
+        mins = mono if mins is None else tuple(map(min, mins, mono))
+        if not any(mins):
+            return None
+    return mins
+
+
+def _div_monomial(terms: dict, g: tuple[int, ...]) -> dict:
+    """Quotient by a monomial dividing every term; lex order is kept."""
+    return {tuple([e - d for e, d in zip(m, g)]): c for m, c in terms.items()}
+
+
+def _poly_text(symbols: tuple[str, ...], terms: dict) -> tuple[str, bool]:
+    if not terms:
+        return "0", False
+    if len(terms) > 1:
+        common = _monomial_gcd(reversed(terms))
+        if common is not None:
+            head = "*".join(_monomial_text(symbols, common))
+            return f"{head}*({_sum_text(symbols, _div_monomial(terms, common))})", False
+    return _sum_text(symbols, terms), len(terms) > 1
+
+
+def _is_divisor_atom(terms: dict) -> bool:
+    if len(terms) != 1:
+        return False
+    ((mono, coeff),) = terms.items()
+    if not any(mono):
+        return coeff > 0
+    return coeff == 1 and sum(1 for e in mono if e) == 1
+
+
+def reference_emit_expr(symbols: tuple[str, ...], num: dict, den: dict) -> str:
+    """The exponent-tuple emitter that `emit_expr` replaced, kept as an oracle.
+
+    `num` and `den` are a canonical value's sides as `unpack` gives them. It
+    computes the common monomial on tuples, so `emit_expr`, which reads
+    packed fields, must give the same text byte for byte.
+    """
+    num_text, num_is_sum = _poly_text(symbols, num)
+    if den == {(0,) * len(symbols): 1}:
+        return num_text
+    if num_is_sum:
+        num_text = f"({num_text})"
+    den_text, _ = _poly_text(symbols, den)
+    if not _is_divisor_atom(den):
+        den_text = f"({den_text})"
+    return f"{num_text}/{den_text}"
 
 
 def rand_canonical_input(rng: Random) -> tuple[tuple[str, ...], dict, dict, int]:
@@ -136,6 +267,12 @@ def rand_canonical_input(rng: Random) -> tuple[tuple[str, ...], dict, dict, int]
 
     num = {} if rng.random() < 0.1 else side(6)
     return symbols, num, side(3), bits
+
+
+def canonical_of(symbols: tuple[str, ...], num: dict, den: dict, bits: int) -> RatFunc:
+    """`algebra._canonical` of exponent-tuple sides packed at `bits` bits."""
+    packed_num, packed_den = (make_poly(symbols, side, bits).terms for side in (num, den))
+    return _canonical(symbols, packed_num, packed_den, bits)
 
 
 def rand_ratfunc(rng: Random) -> RatFunc:
@@ -290,7 +427,7 @@ def _poly_eval(p: MultiPoly, point: Mapping[str, Fraction]) -> Fraction:
             raise UnboundSymbol(f"no value assigned to symbol '{name}'")
     values = [point[name] for name in p.symbols]
     total = Fraction(0)
-    for mono, c in p.terms.items():
+    for mono, c in unpack(p).items():
         term = Fraction(c)
         for v, e in zip(values, mono):
             if e:
@@ -343,7 +480,7 @@ def _eval_expr(e: Expr, point: Mapping[str, Fraction]) -> Fraction:
 
 def constant_value(r: RatFunc) -> Fraction:
     """The value of a canonical constant (its tables are empty)."""
-    return Fraction(r.numerator.constant_value(), r.denominator.constant_value())
+    return Fraction(r.numerator.terms.get(0, 0), r.denominator.terms[0])
 
 
 def eval_at_valid_point(
@@ -404,7 +541,7 @@ def reference_num_den(e: Expr) -> tuple[MultiPoly, MultiPoly]:
     """
     table = tuple(sorted(symbols_of(e)))
     num, den = _reference(e, table)
-    return MultiPoly(table, num), MultiPoly(table, den)
+    return make_poly(table, num), make_poly(table, den)
 
 
 def _sorted_terms(raw: dict) -> dict:
@@ -476,22 +613,23 @@ def reference_collect(e: Expr, var: str) -> MainVarPoly:
     must give the same value term for term.
     """
     r = normalize(e)
-    num, den = r.numerator, r.denominator
-    if var not in num.symbols:
+    symbols = r.numerator.symbols
+    if var not in symbols:
         return MainVarPoly(var, (r,))
-    vi = num.symbols.index(var)
-    if any(m[vi] for m in den.terms):
+    vi = symbols.index(var)
+    num, den = unpack(r.numerator), unpack(r.denominator)
+    if any(m[vi] for m in den):
         raise NotPolynomialInVar(f"denominator contains the main variable '{var}'")
-    reduced = num.symbols[:vi] + num.symbols[vi + 1 :]
+    reduced = symbols[:vi] + symbols[vi + 1 :]
     buckets: dict[int, dict] = {}
-    for mono, c in num.terms.items():
+    for mono, c in num.items():
         buckets.setdefault(mono[vi], {})[mono[:vi] + mono[vi + 1 :]] = c
-    den = MultiPoly(reduced, {m[:vi] + m[vi + 1 :]: c for m, c in den.terms.items()})
+    den = make_poly(reduced, {m[:vi] + m[vi + 1 :]: c for m, c in den.items()})
     degree = max(buckets)
     if degree > MAX_DEGREE:
         raise AlgebraError(f"degree {degree} in '{var}' is above the limit of {MAX_DEGREE}")
     coeffs = [
-        make_ratfunc(MultiPoly(reduced, buckets[k]), den) if k in buckets else RATFUNC_ZERO
+        make_ratfunc(make_poly(reduced, buckets[k]), den) if k in buckets else RATFUNC_ZERO
         for k in range(degree + 1)
     ]
     return MainVarPoly(var, tuple(coeffs))

@@ -17,11 +17,16 @@ from polybridge import (
     emit_expr,
     normalize,
     parse,
-    ratfunc_equal,
 )
 from polybridge.cli import CliOptions, main, run
 
-from genlib import eval_at, eval_at_valid_point, rand_main_var_poly_expr, rand_ratfunc
+from genlib import (
+    eval_at,
+    eval_at_valid_point,
+    rand_main_var_poly_expr,
+    rand_ratfunc,
+    ratfunc_equal,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "det3x3.txt"
 

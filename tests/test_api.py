@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "emit_expr",
     "normalize",
     "parse",
-    "ratfunc_equal",
     "simplify",
     "substitute",
 ]

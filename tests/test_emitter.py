@@ -12,11 +12,17 @@ from polybridge import (
     emit_expr,
     normalize,
     parse,
-    ratfunc_equal,
 )
 from polybridge.parser import DECIMAL, IDENTIFIER, INTEGER, LPAREN, RPAREN, tokenize
 
-from genlib import rand_ratfunc
+from genlib import (
+    canonical_of,
+    rand_canonical_input,
+    rand_ratfunc,
+    ratfunc_equal,
+    reference_emit_expr,
+    unpack,
+)
 
 
 def emit_of(text):
@@ -125,6 +131,20 @@ class TestEmitConfig:
             EmitConfig(array_name="2P")
         with pytest.raises(ValueError):
             EmitConfig(array_name="Ω")
+
+
+class TestEmitMatchesReference:
+    """`emit_expr` reads packed fields; `reference_emit_expr` reads exponent tuples."""
+
+    def test_random_values(self):
+        rng, packed_rng = Random(157), Random(163)
+        values = [rand_ratfunc(rng) for _ in range(300)]
+        values += [canonical_of(*rand_canonical_input(packed_rng)) for _ in range(1500)]
+        for r in values:
+            num, den = unpack(r.numerator), unpack(r.denominator)
+            assert emit_expr(r) == reference_emit_expr(r.numerator.symbols, num, den)
+        # Exponents above 255 take 16-bit fields, which no benchmark input reaches.
+        assert {r.numerator.bits for r in values} == {8, 16}
 
 
 OPERAND_END = (INTEGER, DECIMAL, IDENTIFIER, RPAREN)

@@ -4,15 +4,15 @@ Every input of the corpus runs through `cli.run` in-process in the script,
 vector and expr formats at `--simplify 0` and `1`. The (exit code, stdout,
 stderr) of its six cases hash to one digest per input, which must equal the
 one recorded in `fixtures/output_digest.json`. A change that alters output
-on purpose regenerates that file on the commit before it, where the output
-is known to be right, and then re-runs it on the change:
+on purpose runs this test first to list the inputs whose output changed,
+checks each of them, then rewrites the file on the change with
 
     PYTHONPATH=src python tests/test_output_digest.py --write
 
-and it names the changed outputs in its description. The corpus is the
-det3x3 fixture, `genlib` random trees and main-variable polynomials (some
-carrying exponents above 255, so that packed fields of 16 bits and more are
-used) and hand-picked edge cases.
+and names the changed outputs in its description. The corpus is the det3x3
+fixture, `genlib` random trees and main-variable polynomials (some carrying
+exponents above 255, so that packed fields of 16 bits and more are used)
+and hand-picked edge cases.
 """
 
 from __future__ import annotations
@@ -123,9 +123,16 @@ def test_output_matches_recorded_digest():
         "the corpus changed; regenerate the digest on the commit before the change"
     )
     assert want["cases"] >= 3000
-    for i, (text, recorded) in enumerate(zip(texts, want["outputs"])):
-        got = outputs(text)
-        assert digest(got) == recorded, f"output of input {i} changed: {text[:200]!r} -> {got}"
+    changed = [
+        i for i, (text, recorded) in enumerate(zip(texts, want["outputs"]))
+        if digest(outputs(text)) != recorded
+    ]
+    if changed:
+        first = texts[changed[0]]
+        raise AssertionError(
+            f"output of {len(changed)} inputs changed, at indices {changed[:20]}; the first is"
+            f" {first[:200]!r} -> {outputs(first)}"
+        )
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polybridge import normalize, parse, ratfunc_equal
+from polybridge import normalize, parse
 from polybridge.cli import _strip_statement_terminator
 from polybridge.expr import IntegerLit, Power, Product, Quotient, RationalLit, Sum, SymbolRef
 from polybridge.parser import (
@@ -27,6 +27,7 @@ from genlib import (
     flat_tree,
     fully_parenthesized,
     rand_expr_tree,
+    ratfunc_equal,
     reference_parse,
     tree_depth,
 )
