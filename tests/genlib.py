@@ -94,14 +94,22 @@ def make_poly(
     """
     if bits is None:
         bits = canonical_width(max(chain.from_iterable(raw), default=0))
+    packed = pack({mono: c for mono, c in raw.items() if c}, bits)
+    return MultiPoly(symbols, dict(sorted(packed.items(), reverse=True)), bits)
+
+
+def pack(terms: Mapping[tuple[int, ...], int], bits: int) -> dict[int, int]:
+    """Packed keys of `bits`-bit fields, the first exponent most significant.
+
+    Keys keep the order of `terms`, as packed dicts in `algebra` do.
+    """
     packed = {}
-    for mono, c in raw.items():
+    for mono, c in terms.items():
         key = 0
         for e in mono:
             key = key << bits | e
-        if c:
-            packed[key] = c
-    return MultiPoly(symbols, dict(sorted(packed.items(), reverse=True)), bits)
+        packed[key] = c
+    return packed
 
 
 def unpack(p: MultiPoly) -> dict[tuple[int, ...], int]:
@@ -270,9 +278,12 @@ def rand_canonical_input(rng: Random) -> tuple[tuple[str, ...], dict, dict, int]
 
 
 def canonical_of(symbols: tuple[str, ...], num: dict, den: dict, bits: int) -> RatFunc:
-    """`algebra._canonical` of exponent-tuple sides packed at `bits` bits."""
-    packed_num, packed_den = (make_poly(symbols, side, bits).terms for side in (num, den))
-    return _canonical(symbols, packed_num, packed_den, bits)
+    """`algebra._canonical` of exponent-tuple sides packed at `bits` bits.
+
+    The keys keep the sides' order, which need not be sorted, as in the
+    packed dicts that `_canonical`'s callers build.
+    """
+    return _canonical(symbols, pack(num, bits), pack(den, bits), bits)
 
 
 def rand_ratfunc(rng: Random) -> RatFunc:

@@ -53,6 +53,7 @@ from genlib import (
     make_ratfunc,
     naive_power,
     naive_product,
+    pack,
     rand_canonical_input,
     rand_expr_tree,
     rand_main_var_poly_expr,
@@ -186,12 +187,43 @@ class TestRatFuncEqual:
             bumped_terms[corner] = bumped_terms.get(corner, 0) + 7
             bumped = make_ratfunc(make_poly(table, bumped_terms), r.denominator)
             pairs += [(r, times_g, True), (r, bumped, False), (r, RATFUNC_ZERO, r.is_zero())]
-        seen = set()
+            # Nested, and overlapping or disjoint, symbol tables.
+            e1, e2 = rng.sample([s for s in ("a", "b", "c", "d") if s not in table], 2)
+            up, bumped_up = with_symbol(rng, r, e1)
+            other, _ = with_symbol(rng, r, e2)
+            pairs += [(r, up, True), (r, bumped_up, False)]
+            pairs += [(up, other, True), (bumped_up, other, False)]
+        seen, mixed = set(), 0
         for a, b, want in pairs:
             assert ratfunc_equal(a, b) is want and ratfunc_equal(b, a) is want
             sides = (a.numerator, a.denominator, b.numerator, b.denominator)
             seen.add(max(top_exponent(unpack(p)) for p in sides))
+            tables = {a.numerator.symbols, b.numerator.symbols}
+            mixed += len(tables) == 2 and () not in tables
         assert top in seen
+        assert mixed >= 100
+
+
+def with_symbol(rng: Random, r: RatFunc, extra: str) -> tuple[RatFunc, RatFunc]:
+    """`r*g/g` and `r + 7*extra/den(r)`, over `r`'s symbols and `extra`.
+
+    `g` is `extra + 1` plus random terms, so both values use `extra`
+    unless `r` is zero; the first equals `r` and the second does not.
+    """
+    table = tuple(sorted({*r.numerator.symbols, extra}))
+    at, width = table.index(extra), len(table)
+
+    def lift(p) -> dict:
+        return {m[:at] + (0,) + m[at:]: c for m, c in unpack(p).items()}
+
+    unit = tuple(int(i == at) for i in range(width))
+    g = {**rand_terms(rng, width, 1, rng.randint(0, 3)), unit: 1, (0,) * width: 1}
+    num, den = lift(r.numerator), lift(r.denominator)
+    times_g = make_ratfunc(
+        make_poly(table, naive_product(num, g)), make_poly(table, naive_product(den, g))
+    )
+    bumped = make_ratfunc(make_poly(table, {**num, unit: 7}), make_poly(table, den))
+    return times_g, bumped
 
 
 def rand_side(rng: Random, symbols: tuple[str, ...], top: int) -> RatFunc:
@@ -627,17 +659,6 @@ def assert_same_terms(got: dict, want: dict):
     # Order is part of the contract: terms iterate in descending lex order.
     assert list(got.items()) == list(want.items())
     assert all(type(c) is int for c in got.values())
-
-
-def pack(terms: dict, bits: int) -> dict:
-    """Packed keys of `bits`-bit fields, the first exponent most significant."""
-    packed = {}
-    for mono, c in terms.items():
-        key = 0
-        for e in mono:
-            key = key << bits | e
-        packed[key] = c
-    return packed
 
 
 def unpack_keys(packed: dict, width: int, bits: int) -> dict:
