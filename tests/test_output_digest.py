@@ -1,9 +1,11 @@
-"""The CLI's output, byte for byte, on a fixed seeded corpus.
+"""The CLI's output, byte for byte, on two fixed seeded corpora.
 
-Every input of the corpus runs through `cli.run` in-process in the script,
-vector and expr formats at `--simplify 0` and `1`. The (exit code, stdout,
-stderr) of its six cases hash to one digest per input, which must equal the
-one recorded in `fixtures/output_digest.json`. A change that alters output
+Every input of the main corpus runs through `cli.run` in-process in the
+script, vector and expr formats at `--simplify 0` and `1`. Every input of the
+option corpus runs in the three formats under each of `OPTION_SETS` (array
+names, main variables, renames, no Greek defaults). The (exit code, stdout,
+stderr) of an input's cases hash to one digest per input, which must equal
+the one recorded in `fixtures/output_digest.json`. A change that alters output
 on purpose runs this test first to list the inputs whose output changed,
 checks each of them, then rewrites the file on the change with
 
@@ -12,7 +14,8 @@ checks each of them, then rewrites the file on the change with
 and names the changed outputs in its description. The corpus is the det3x3
 fixture, `genlib` random trees and main-variable polynomials (some carrying
 exponents above 255, so that packed fields of 16 bits and more are used)
-and hand-picked edge cases.
+and hand-picked edge cases. The option corpus is the edge cases and random
+trees over symbols that are the array name, Matlab keywords or Greek.
 """
 
 from __future__ import annotations
@@ -66,6 +69,17 @@ EDGE_CASES = (
 
 FORMATS = ("script", "vector", "expr")
 
+# CliOptions fields of the option corpus's cases, each run in every format.
+OPTION_SETS = (
+    {"array_name": "Q"},
+    {"array_name": "end"},
+    {"array_name": "9P"},
+    {"greek_defaults": False},
+    {"main_var": "P"},
+    {"main_var": "end"},
+    {"inline_renames": ("P=p0",)},
+)
+
 
 def corpus() -> list[str]:
     """The input texts, in a fixed order."""
@@ -87,52 +101,82 @@ def corpus() -> list[str]:
     return texts
 
 
-def outputs(text: str) -> list[tuple[int, str, str]]:
-    """(exit code, stdout, stderr) of `text` in each format and simplify level."""
-    results = []
+def option_corpus() -> list[str]:
+    """The option corpus's input texts, in a fixed order."""
+    rng = Random(20261020)
+    names = ("a", "b", "P", "Q", "end", "for", "t", "x", "β", "γ_b")
+    trees = [fully_parenthesized(rand_expr_tree(rng, 3, names)) for _ in range(40)]
+    return [*EDGE_CASES, *trees]
+
+
+def run_case(text: str, **fields) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `cli.run` on `text` with these options."""
     saved = sys.stdin, sys.stdout, sys.stderr
     try:
-        for fmt in FORMATS:
-            for level in (0, 1):
-                sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
-                code = run(CliOptions(format=fmt, simplify_level=level))
-                results.append((code, sys.stdout.getvalue(), sys.stderr.getvalue()))
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+        code = run(CliOptions(**fields))
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
-    return results
+
+
+def outputs(text: str) -> list[tuple[int, str, str]]:
+    """The cases of `text` in each format and simplify level."""
+    return [run_case(text, format=fmt, simplify_level=level) for fmt in FORMATS for level in (0, 1)]
+
+
+def option_outputs(text: str) -> list[tuple[int, str, str]]:
+    """The cases of `text` in each format under each of `OPTION_SETS`."""
+    return [run_case(text, format=fmt, **fields) for fields in OPTION_SETS for fmt in FORMATS]
 
 
 def digest(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
 
 
+CORPORA = {"default": (corpus, outputs), "options": (option_corpus, option_outputs)}
+
+
 def measure() -> dict:
-    texts = corpus()
-    return {
-        "inputs": len(texts),
-        "cases": len(texts) * 2 * len(FORMATS),
-        "corpus": digest(texts),
-        "outputs": [digest(outputs(text)) for text in texts],
-    }
+    record = {}
+    for name, (texts_of, cases_of) in CORPORA.items():
+        texts = texts_of()
+        results = [cases_of(text) for text in texts]
+        record[name] = {
+            "inputs": len(texts),
+            "cases": sum(map(len, results)),
+            "corpus": digest(texts),
+            "outputs": [digest(r) for r in results],
+        }
+    return record
 
 
-def test_output_matches_recorded_digest():
-    want = json.loads(DIGEST.read_text(encoding="utf-8"))
-    texts = corpus()
+def check_recorded(name: str) -> None:
+    texts_of, cases_of = CORPORA[name]
+    want = json.loads(DIGEST.read_text(encoding="utf-8"))[name]
+    texts = texts_of()
     assert (len(texts), digest(texts)) == (want["inputs"], want["corpus"]), (
         "the corpus changed; regenerate the digest on the commit before the change"
     )
-    assert want["cases"] >= 3000
+    assert want["cases"] >= {"default": 3000, "options": 1000}[name]
     changed = [
         i for i, (text, recorded) in enumerate(zip(texts, want["outputs"]))
-        if digest(outputs(text)) != recorded
+        if digest(cases_of(text)) != recorded
     ]
     if changed:
         first = texts[changed[0]]
         raise AssertionError(
             f"output of {len(changed)} inputs changed, at indices {changed[:20]}; the first is"
-            f" {first[:200]!r} -> {outputs(first)}"
+            f" {first[:200]!r} -> {cases_of(first)}"
         )
+
+
+def test_output_matches_recorded_digest():
+    check_recorded("default")
+
+
+def test_option_output_matches_recorded_digest():
+    check_recorded("options")
 
 
 if __name__ == "__main__":
