@@ -125,9 +125,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not any(self.terms)
-
     def leading(self) -> tuple[int, int]:
         return next(iter(self.terms.items()))
 
@@ -448,7 +445,9 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     Level 0 returns the input unchanged (canonical form already combines
     like terms). Level 1 additionally divides out the polynomial GCD when
     the canonical `r` is univariate, i.e. its trimmed symbol table holds
-    one symbol, and neither side is constant (else the GCD is constant too).
+    one symbol, and neither side is a single term. Canonical form has
+    cancelled the common monomial, so a one-term side `c*t^k` has `k = 0` or
+    faces a nonzero constant term, and the GCD is constant either way.
     The GCD is the last primitive remainder over Z (Brown, JACM 1971); by
     Gauss's lemma it divides both sides over Z. The result is always
     cross-multiplication-equal to the input.
@@ -458,7 +457,7 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     if level != 1:
         raise ValueError(f"unknown simplify level {level!r}")
     num, den = r.numerator, r.denominator
-    if len(num.symbols) != 1 or num.is_constant() or den.is_constant():
+    if len(num.symbols) != 1 or len(num.terms) == 1 or len(den.terms) == 1:
         return r
     a, b = _dense(num), _dense(den)
     g = _primitive_gcd(a, b)
