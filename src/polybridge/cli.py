@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 2 lex/parse error; 3 the input is not a polynomial
 in the main variable (or has a symbolic exponent / zero denominator);
-4 rename collisions, bad options, I/O failures, or symbols that Matlab
-would misread (non-ASCII, keywords, the array name). Diagnostics go to
-stderr only; stdout (or the output file) receives either the complete
+4 rename collisions, bad options, I/O failures, or symbols that the
+script or vector emitter refuses because Matlab would misread them. Diagnostics
+go to stderr only; stdout (or the output file) receives either the complete
 result or nothing.
 """
 
@@ -22,7 +22,6 @@ from typing import Callable, Sequence, TextIO
 from .algebra import (
     AlgebraError,
     MainVarPoly,
-    RatFunc,
     collect_main_var,
     normalize,
     simplify,
@@ -31,7 +30,6 @@ from .emitter import (
     FORMAT_EXPR,
     FORMAT_SCRIPT,
     FORMATS,
-    MATLAB_KEYWORDS,
     EmitConfig,
     emit_coeff_script,
     emit_coeff_vector,
@@ -119,20 +117,13 @@ def _build_specs(options: CliOptions) -> list[RenameSpec]:
     return specs
 
 
-def _symbols_in(values: Sequence[RatFunc]) -> set[str]:
-    # The two sides of a canonical value share one symbol table.
-    return {s for r in values for s in r.numerator.symbols}
-
-
-def _non_ascii(symbols: set[str]) -> str:
-    return ", ".join(sorted(s for s in symbols if not s.isascii()))
-
-
 def run(options: CliOptions) -> int:
     """Execute the full pipeline; returns the process exit code.
 
-    Options are validated here only, before any input is read. Input nested
-    deeper than Python's recursion limit exits 3, whichever stage hits it.
+    Options are validated here only, before any input is read; the array
+    name only in the script and vector formats, which print it. A symbol the
+    emitter refuses exits 4. Input nested deeper than Python's recursion limit
+    exits 3, whichever stage hits it.
     """
     try:
         return _run(options)
@@ -147,7 +138,7 @@ def _run(options: CliOptions) -> int:
     try:
         if options.format not in FORMATS:
             raise ValueError(f"unknown format {options.format!r}")
-        cfg = EmitConfig(options.array_name)
+        cfg = EmitConfig(options.array_name) if options.format != FORMAT_EXPR else None
         if options.simplify_level not in (0, 1):
             raise ValueError(f"simplify level must be 0 or 1, got {options.simplify_level!r}")
         main_var = parse_identifier(options.main_var)
@@ -187,7 +178,7 @@ def _run(options: CliOptions) -> int:
             value = timer.stage("normalize", lambda: normalize(renamed))
             value = timer.stage("simplify", lambda: simplify(value, options.simplify_level))
             output = timer.stage("emit", lambda: emit_expr(value) + "\n")
-            residue = _non_ascii(_symbols_in([value]))
+            residue = ", ".join(sorted(s for s in value.numerator.symbols if not s.isascii()))
             if residue:
                 print(f"warning: output contains non-ASCII symbols: {residue}", file=diag)
         else:
@@ -199,31 +190,14 @@ def _run(options: CliOptions) -> int:
                     tuple(simplify(c, options.simplify_level) for c in collected.coeffs),
                 ),
             )
-            used = _symbols_in(collected.coeffs)
-            # Symbols Matlab cannot read back; the expr format prints them.
-            for problem, names in (
-                ("non-ASCII symbols remain after renaming", _non_ascii(used)),
-                ("symbols that are Matlab keywords", ", ".join(sorted(used & MATLAB_KEYWORDS))),
-            ):
-                if names:
-                    print(
-                        f"error: {problem}: {names} (add --rename rules or use --format expr)",
-                        file=diag,
-                    )
-                    return EXIT_USAGE
-            if options.format == FORMAT_SCRIPT:
-                # `P(1)=...;` would overwrite a parameter `P` before a later
-                # line reads it; the vector format reads before it assigns.
-                if cfg.array_name in used:
-                    print(
-                        f"error: symbol '{cfg.array_name}' is also the array name, so the"
-                        " script would overwrite it (choose another --name or --rename it)",
-                        file=diag,
-                    )
-                    return EXIT_USAGE
-                output = timer.stage("emit", lambda: emit_coeff_script(collected, cfg))
-            else:
-                output = timer.stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")
+            try:
+                if options.format == FORMAT_SCRIPT:
+                    output = timer.stage("emit", lambda: emit_coeff_script(collected, cfg))
+                else:
+                    output = timer.stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")
+            except ValueError as err:  # a symbol Matlab would misread
+                print(f"error: {err}", file=diag)
+                return EXIT_USAGE
     except AlgebraError as err:
         location = ""
         if err.span is not None:

@@ -5,6 +5,9 @@ Every multiplication is written with `*` (never juxtaposition), powers use
 precedence table (^ above unary minus above * / above + -). Terms emit in
 descending monomial order, so identical inputs give byte-identical text. No
 whitespace is emitted except each script line's newline and the vector's `, `.
+
+Only this module decides what Matlab can read back: `EmitConfig` refuses a bad
+array name, and the script and vector emitters refuse misread symbols.
 """
 
 from __future__ import annotations
@@ -129,21 +132,44 @@ def emit_expr(r: RatFunc) -> str:
     return f"{num_text}/{den_text}"
 
 
+def _refuse_unreadable(p: MainVarPoly, array_name: str | None) -> None:
+    """Raise ValueError on a coefficient symbol that is non-ASCII, a Matlab
+    keyword or `array_name`, in that order."""
+    used = {s for c in p.coeffs for s in c.numerator.symbols}  # both sides share one table
+    hint = "add --rename rules or use --format expr"
+    for problem, names in (
+        ("non-ASCII symbols remain after renaming", [s for s in used if not s.isascii()]),
+        ("symbols that are Matlab keywords", used & MATLAB_KEYWORDS),
+    ):
+        if names:
+            raise ValueError(f"{problem}: {', '.join(sorted(names))} ({hint})")
+    if array_name in used:
+        raise ValueError(
+            f"symbol '{array_name}' is also the array name, so the"
+            " script would overwrite it (choose another --name or --rename it)"
+        )
+
+
 def emit_coeff_script(p: MainVarPoly, cfg: EmitConfig) -> str:
     """One assignment line per coefficient, leading coefficient first.
 
     Line j (1-based) is `<name>(<j>)=<coefficient of main_var^(degree+1-j)>;`
     so line 1 carries the leading coefficient and the last line the
-    constant term. Every line ends with a newline.
+    constant term. Every line ends with a newline. Raises ValueError on a
+    coefficient symbol that is non-ASCII, a Matlab keyword or the array name,
+    which `P(1)=...;` would overwrite before a later line reads it.
     """
-    degree = p.degree
-    lines = []
-    for j in range(1, degree + 2):
-        lines.append(f"{cfg.array_name}({j})={emit_expr(p.coeffs[degree + 1 - j])};\n")
-    return "".join(lines)
+    _refuse_unreadable(p, cfg.array_name)
+    name = cfg.array_name
+    return "".join(f"{name}({j})={emit_expr(c)};\n" for j, c in enumerate(reversed(p.coeffs), 1))
 
 
 def emit_coeff_vector(p: MainVarPoly, cfg: EmitConfig) -> str:
-    """Single-line coefficient vector in descending power order."""
+    """Single-line coefficient vector in descending power order.
+
+    Raises ValueError on a non-ASCII or Matlab-keyword coefficient symbol; the
+    array name is fine, as `P=[1, P, 0];` reads `P` before it assigns.
+    """
+    _refuse_unreadable(p, None)
     body = ", ".join(emit_expr(c) for c in reversed(p.coeffs))
     return f"{cfg.array_name}=[{body}];"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -10,6 +11,7 @@ from random import Random
 from typing import Callable, Mapping, Union
 
 from polybridge import normalize
+from polybridge.cli import CliOptions, run
 from polybridge.algebra import (
     MAX_DEGREE,
     RATFUNC_ZERO,
@@ -825,3 +827,14 @@ def tree_depth(e: Expr) -> int:
             continue
         stack.extend((child, depth + 1) for child in children)
     return deepest
+
+
+def run_cli(text: str, **fields) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `cli.run` on `text` with these CliOptions fields."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    try:
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+        code = run(CliOptions(**fields))
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved

@@ -193,11 +193,17 @@ class TestMatlabKeywords:
         assert (code, out) == (4, "")
         assert "Matlab keywords: end, for" in err and "--rename" in err
 
-    @pytest.mark.parametrize("fmt", ["script", "vector", "expr"])
+    @pytest.mark.parametrize("fmt", ["script", "vector"])
     def test_keyword_array_name_refused(self, fmt, monkeypatch, capsys):
         code, out, err = invoke(monkeypatch, capsys, ["--name", "end", "--format", fmt], stdin="x")
         assert (code, out) == (4, "")
         assert err == "error: array name 'end' is a Matlab keyword\n"
+
+    @pytest.mark.parametrize("name", ["end", "9P"])
+    def test_expr_format_ignores_the_array_name(self, name, monkeypatch, capsys):
+        # The expr format never prints the array name, so it checks none.
+        argv = ["--name", name, "--format", "expr"]
+        assert invoke(monkeypatch, capsys, argv, stdin="x") == (0, "x\n", "")
 
     def test_renamed_keywords_convert(self, monkeypatch, capsys):
         argv = ["--rename", "end=e0", "--rename", "for=f0"]

@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -6,21 +7,28 @@ from hypothesis import strategies as st
 
 from polybridge import (
     EmitConfig,
+    apply_renames,
     collect_main_var,
     emit_coeff_script,
     emit_coeff_vector,
     emit_expr,
     normalize,
     parse,
+    simplify,
 )
+from polybridge.algebra import AlgebraError, MainVarPoly
 from polybridge.parser import DECIMAL, IDENTIFIER, INTEGER, LPAREN, RPAREN, tokenize
+from polybridge.rename import default_greek_map
 
 from genlib import (
     canonical_of,
+    fully_parenthesized,
     rand_canonical_input,
+    rand_expr_tree,
     rand_ratfunc,
     ratfunc_equal,
     reference_emit_expr,
+    run_cli,
     unpack,
 )
 
@@ -131,6 +139,79 @@ class TestEmitConfig:
             EmitConfig(array_name="2P")
         with pytest.raises(ValueError):
             EmitConfig(array_name="Ω")
+
+
+HINT = " (add --rename rules or use --format expr)"
+CLASH = (
+    "symbol 'P' is also the array name, so the script would overwrite it"
+    " (choose another --name or --rename it)"
+)
+
+
+class TestMatlabReadableSymbols:
+    """The script and vector emitters refuse symbols that Matlab would misread."""
+
+    @pytest.mark.parametrize("emit", [emit_coeff_script, emit_coeff_vector])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("end*x+for", "symbols that are Matlab keywords: end, for" + HINT),
+            ("β*x+1", "non-ASCII symbols remain after renaming: β" + HINT),
+            # Non-ASCII symbols are reported first, then keywords.
+            ("β*end*P*x", "non-ASCII symbols remain after renaming: β" + HINT),
+            ("end*P*x", "symbols that are Matlab keywords: end" + HINT),
+        ],
+        ids=["keywords", "non-ascii", "non-ascii-first", "keywords-before-array-name"],
+    )
+    def test_refused_in_both_formats(self, emit, text, message):
+        with pytest.raises(ValueError) as info:
+            emit(collect_main_var(parse(text), "x"), EmitConfig())
+        assert str(info.value) == message
+
+    def test_script_refuses_the_array_name(self):
+        # `P(1)=1;` would overwrite the parameter that `P(2)=P;` reads.
+        p = collect_main_var(parse("x^2+P*x"), "x")
+        with pytest.raises(ValueError) as info:
+            emit_coeff_script(p, EmitConfig())
+        assert str(info.value) == CLASH
+        assert emit_coeff_script(p, EmitConfig("Q")) == "Q(1)=1;\nQ(2)=P;\nQ(3)=0;\n"
+
+    def test_vector_reads_the_array_name_before_it_assigns(self):
+        p = collect_main_var(parse("x^2+P*x"), "x")
+        assert emit_coeff_vector(p, EmitConfig()) == "P=[1, P, 0];"
+
+    def test_main_variable_and_expr_format_are_not_checked(self):
+        p = collect_main_var(parse("end^2+a"), "end")
+        assert emit_coeff_script(p, EmitConfig()) == "P(1)=1;\nP(2)=0;\nP(3)=a;\n"
+        assert emit_of("end*β+P") == "P+end*β"
+
+
+class TestCliRefusesWhatTheLibraryRefuses:
+    def test_seeded_differential(self):
+        """`cli.run` exits 4 with `error: <msg>` exactly when the emitter raises
+        ValueError(<msg>), and otherwise prints what the emitter returns."""
+        rng = Random(191)
+        names = ("a", "b", "P", "Q", "end", "for", "t", "x", "β", "γ_b")
+        formats = (("script", emit_coeff_script, ""), ("vector", emit_coeff_vector, "\n"))
+        refusals = 0
+        for _ in range(150):
+            text = fully_parenthesized(rand_expr_tree(rng, 3, names))
+            for greek in (True, False):
+                tree = apply_renames(parse(text), *([default_greek_map()] if greek else []))
+                try:
+                    p = collect_main_var(tree, "x")
+                except AlgebraError:
+                    continue
+                p = MainVarPoly(p.main_var, tuple(simplify(c, 1) for c in p.coeffs))
+                for (fmt, emit, end), name in product(formats, ("P", "Q")):
+                    try:
+                        want = (0, emit(p, EmitConfig(name)) + end, "")
+                    except ValueError as err:
+                        want = (4, "", f"error: {err}\n")
+                        refusals += 1
+                    got = run_cli(text, format=fmt, array_name=name, greek_defaults=greek)
+                    assert got == want, (text, fmt, name, greek)
+        assert refusals > 100, refusals
 
 
 class TestEmitMatchesReference:

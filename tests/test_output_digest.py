@@ -21,16 +21,14 @@ trees over symbols that are the array name, Matlab keywords or Greek.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 from random import Random
 
-from polybridge.cli import CliOptions, run
 from polybridge.expr import IntegerLit, Power, Product, Quotient, SymbolRef
 
-from genlib import fully_parenthesized, rand_expr_tree, rand_main_var_poly_expr
+from genlib import fully_parenthesized, rand_expr_tree, rand_main_var_poly_expr, run_cli
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 DIGEST = FIXTURES / "output_digest.json"
@@ -109,25 +107,14 @@ def option_corpus() -> list[str]:
     return [*EDGE_CASES, *trees]
 
 
-def run_case(text: str, **fields) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `cli.run` on `text` with these options."""
-    saved = sys.stdin, sys.stdout, sys.stderr
-    try:
-        sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
-        code = run(CliOptions(**fields))
-        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = saved
-
-
 def outputs(text: str) -> list[tuple[int, str, str]]:
     """The cases of `text` in each format and simplify level."""
-    return [run_case(text, format=fmt, simplify_level=level) for fmt in FORMATS for level in (0, 1)]
+    return [run_cli(text, format=f, simplify_level=level) for f in FORMATS for level in (0, 1)]
 
 
 def option_outputs(text: str) -> list[tuple[int, str, str]]:
     """The cases of `text` in each format under each of `OPTION_SETS`."""
-    return [run_case(text, format=fmt, **fields) for fields in OPTION_SETS for fmt in FORMATS]
+    return [run_cli(text, format=fmt, **fields) for fields in OPTION_SETS for fmt in FORMATS]
 
 
 def digest(value) -> str:
