@@ -62,7 +62,9 @@ SymbolTable = tuple[str, ...]
 Packed = dict[int, int]
 
 # Largest main-variable degree that `collect_main_var` splits into a dense
-# tuple of degree + 1 coefficients (one script line each).
+# tuple of degree + 1 coefficients (one script line each), and the largest
+# |k| of a power `b^k` unless each side of b is 0 or ±1 times a monomial,
+# whose powers stay that small.
 MAX_DEGREE = 2**16
 
 
@@ -250,7 +252,9 @@ def _fits(bound: int, limit: int) -> int:
 
 def _packed(e: Expr) -> tuple[SymbolTable, Packed, Packed, int]:
     """The sorted symbol table, packed numerator and denominator, and the
-    field width, which starts at 8 bits and doubles on `_Widen`."""
+    field width, which starts at 8 bits and doubles on `_Widen`. Every
+    algebra entry point starts here, so a tree too deep for the recursive
+    `_to_num_den` (about 1000 levels by default) raises AlgebraError."""
     table = tuple(sorted(symbols_of(e)))
     bits = 8
     while True:
@@ -260,6 +264,8 @@ def _packed(e: Expr) -> tuple[SymbolTable, Packed, Packed, int]:
             return table, num, den, bits
         except _Widen:
             bits *= 2
+        except RecursionError:
+            raise AlgebraError("expression is nested too deeply") from None
 
 
 def normalize(e: Expr) -> RatFunc:
@@ -312,6 +318,9 @@ def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, P
                     getattr(exponent, "span", None) or e.span,
                 )
         bn, bd, bound = _to_num_den(e.base, keys, limit)
+        # Powers stay small only if each side is 0 or one term with coefficient ±1.
+        if abs(k) > MAX_DEGREE and any(len(p) > 1 or abs(sum(p.values())) > 1 for p in (bn, bd)):
+            raise AlgebraError(f"exponent magnitude is above the limit of {MAX_DEGREE}", e.span)
         bound = _fits(bound * abs(k), limit)
         if k >= 0:
             return _pow(bn, k), (bd if bd == _ONE else _pow(bd, k)), bound

@@ -1,11 +1,12 @@
 """Command-line front end: parse, rename, collect, simplify, emit.
 
 Exit codes: 0 success; 2 lex/parse error; 3 the input is not a polynomial
-in the main variable (or has a symbolic exponent / zero denominator);
-4 rename collisions, bad options, I/O failures, or symbols that the
-script or vector emitter refuses because Matlab would misread them. Diagnostics
-go to stderr only; stdout (or the output file) receives either the complete
-result or nothing.
+in the main variable (or has a symbolic exponent / zero denominator, is
+nested too deeply, or raises a constant or a sum to a power beyond
+`algebra.MAX_DEGREE`); 4 rename collisions, bad options, I/O failures, or
+symbols that the script or vector emitter refuses because Matlab would
+misread them. Diagnostics go to stderr only; stdout (or the output file)
+receives either the complete result or nothing.
 """
 
 from __future__ import annotations
@@ -122,17 +123,9 @@ def run(options: CliOptions) -> int:
 
     Options are validated here only, before any input is read; the array
     name only in the script and vector formats, which print it. A symbol the
-    emitter refuses exits 4. Input nested deeper than Python's recursion limit
-    exits 3, whichever stage hits it.
+    emitter refuses exits 4. A stage fails only by the errors caught here;
+    input nested too deeply for the algebra is an AlgebraError (exit 3).
     """
-    try:
-        return _run(options)
-    except RecursionError:
-        print("error: expression is nested too deeply", file=sys.stderr)
-        return EXIT_NOT_POLYNOMIAL
-
-
-def _run(options: CliOptions) -> int:
     diag = sys.stderr
     timer = _Timer(options.show_time, diag)
     try:

@@ -143,36 +143,45 @@ def substitute(e: Expr, rules: RenameMap) -> Expr:
 
     Rule outputs are never re-rewritten, so ``{x: y, y: x}`` swaps the two
     symbols. Subtrees that contain no rule key are returned as-is, which
-    makes substitution with an empty map the identity (same object).
+    makes substitution with an empty map the identity (same object), and
+    rebuilt nodes keep their spans. An explicit stack reads any depth.
     """
     if not rules:
         return e
-    return _substitute(e, rules)
-
-
-def _substitute(e: Expr, rules: RenameMap) -> Expr:
-    if isinstance(e, SymbolRef):
-        return rules.get(e.name, e)
-    if isinstance(e, Sum):
-        terms = tuple(_substitute(t, rules) for t in e.terms)
-        if all(a is b for a, b in zip(terms, e.terms)):
-            return e
-        return Sum(terms, e.span)
-    if isinstance(e, Product):
-        factors = tuple(_substitute(f, rules) for f in e.factors)
-        if all(a is b for a, b in zip(factors, e.factors)):
-            return e
-        return Product(factors, e.span)
-    if isinstance(e, Power):
-        base = _substitute(e.base, rules)
-        exponent = _substitute(e.exponent, rules)
-        if base is e.base and exponent is e.exponent:
-            return e
-        return Power(base, exponent, e.span)
-    if isinstance(e, Quotient):
-        num = _substitute(e.numerator, rules)
-        den = _substitute(e.denominator, rules)
-        if num is e.numerator and den is e.denominator:
-            return e
-        return Quotient(num, den, e.span)
-    return e
+    # Pre-order, operands pushed left to right: read backwards, every node
+    # comes after its operands' results, which end `done` in operand order.
+    order = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        t = type(node)
+        if t is Product:
+            stack.extend(node.factors)
+        elif t is Power:
+            stack.append(node.base)
+            stack.append(node.exponent)
+        elif t is Sum:
+            stack.extend(node.terms)
+        elif t is Quotient:
+            stack.append(node.numerator)
+            stack.append(node.denominator)
+    done: list[Expr] = []
+    for node in reversed(order):
+        t = type(node)
+        if t is SymbolRef:
+            done.append(rules.get(node.name, node))
+        elif t is Product or t is Sum:
+            old = node.factors if t is Product else node.terms
+            new = tuple(done[-len(old) :])
+            del done[-len(old) :]
+            same = all(a is b for a, b in zip(new, old))
+            done.append(node if same else t(new, node.span))
+        elif t is Power or t is Quotient:
+            second, first = done.pop(), done.pop()
+            old = (node.base, node.exponent) if t is Power else (node.numerator, node.denominator)
+            same = first is old[0] and second is old[1]
+            done.append(node if same else t(first, second, node.span))
+        else:
+            done.append(node)
+    return done[0]

@@ -150,15 +150,14 @@ def _too_long(span: Span) -> SourceError:
 
 
 def _decimal(text: str, span: Span) -> Expr:
-    from fractions import Fraction  # imports `decimal`; only decimal literals need it
-
+    # Each side is converted alone, so the digit limit applies per side.
+    whole, _, frac = text.partition(".")
+    scale = 10 ** len(frac)
     try:
-        value = Fraction(text)
+        num = int(whole or "0") * scale + int(frac or "0")
     except ValueError:
         raise _too_long(span) from None
-    if value.denominator == 1:
-        return IntegerLit(value.numerator, span)
-    return RationalLit(value.numerator, value.denominator, span)
+    return RationalLit(num, scale, span) if num % scale else IntegerLit(num // scale, span)
 
 
 def parse(input_text: str) -> Expr:
@@ -166,12 +165,7 @@ def parse(input_text: str) -> Expr:
 
     Raises SourceError (kind "lex" or "parse") with a character span on any
     malformed input, including empty input. The parser keeps its state on
-    an explicit stack, so nesting depth is bounded by memory alone; the
-    tree walks of `normalize`, `collect_main_var`, `degree_in`,
-    `coefficient_of`, `substitute` and `apply_renames` (when a rule
-    applies) still recurse and raise a bare RecursionError on a tree
-    nested deeper than Python's recursion limit (only `cli.run` maps it
-    to exit 3).
+    an explicit stack, so nesting depth is bounded by memory alone.
     """
     tokens = tokenize(input_text)
     if tokens[0].kind == END:

@@ -39,6 +39,7 @@ from polybridge.expr import (
     SymbolRef,
     make_product,
     make_sum,
+    symbols_of,
 )
 
 from genlib import (
@@ -50,6 +51,7 @@ from genlib import (
     degree_by_finite_differences,
     eval_at,
     eval_at_valid_point,
+    flat_tree,
     make_poly,
     make_ratfunc,
     naive_power,
@@ -63,6 +65,7 @@ from genlib import (
     ratfunc_equal,
     reference_collect,
     reference_num_den,
+    tree_depth,
     unpack,
 )
 
@@ -392,6 +395,90 @@ class TestSubstitute:
         e = parse("x^2")
         out = substitute(e, {"x": parse("y+1")})
         assert ratfunc_equal(normalize(out), normalize(parse("(y+1)^2")))
+
+    def test_unchanged_subtrees_are_kept_and_spans_survive(self):
+        e = parse("(a+b)^2/c + β*x")
+        out = substitute(e, {"β": SymbolRef("beta")})
+        assert out.terms[0] is e.terms[0]
+        assert out.terms[1].factors[1] is e.terms[1].factors[1]
+        renamed = flat_tree(out)
+        assert renamed[:-2] == flat_tree(e)[:-2]
+        assert renamed[-2:] == [("SymbolRef", "beta", 0, None), ("SymbolRef", "x", 0, (14, 15))]
+
+    def test_deep_chain(self):
+        # Deep trees are compared with flat_tree: dataclass `==` recurses.
+        n = 5000
+        e = parse("-" * n + "β")
+        out = substitute(e, {"β": SymbolRef("beta")})
+        assert symbols_of(out) == {"beta"}
+        assert tree_depth(out) == n + 1
+        assert flat_tree(out)[:-1] == flat_tree(e)[:-1]
+
+
+DEEP_TREES = {
+    "minus_2000": "-" * 2000 + "x",
+    "tower": "^".join(["2"] * 1500),
+}
+ENTRY_POINTS = {
+    "normalize": normalize,
+    "collect_main_var": lambda e: collect_main_var(e, "x"),
+    "degree_in": lambda e: degree_in(e, "x"),
+    "coefficient_of": lambda e: coefficient_of(e, "x", 0),
+}
+
+
+class TestDeepTrees:
+    """Trees too deep for `_to_num_den`'s recursion fail as AlgebraError."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", sorted(DEEP_TREES))
+    def test_nested_too_deeply(self, name, entry):
+        tree = parse(DEEP_TREES[name])
+        with pytest.raises(AlgebraError) as exc:
+            ENTRY_POINTS[entry](tree)
+        assert type(exc.value) is AlgebraError
+        assert (str(exc.value), exc.value.span) == ("expression is nested too deeply", None)
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
+
+
+class TestPowerLimit:
+    """Past MAX_DEGREE only a base of 0 or ±1 times a monomial is raised."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(polybridge.algebra, "MAX_DEGREE", 5)
+
+    @pytest.mark.parametrize(
+        "text, span",
+        [
+            ("(a+b)^6", (1, 7)),
+            ("2^6", (0, 3)),
+            ("(x/2)^6", (1, 7)),
+            ("c*(a-1)^(-6)", (3, 11)),
+            ("(3*a)^6", (1, 7)),
+            ("1+(a+1)^2^3", (3, 11)),
+        ],
+    )
+    def test_refused(self, text, span):
+        with pytest.raises(AlgebraError) as exc:
+            normalize(parse(text))
+        assert str(exc.value) == "exponent magnitude is above the limit of 5"
+        assert exc.value.span == span
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a^6", "a^6"),
+            ("(-a)^7", "-a^7"),
+            ("0^9", "0"),
+            ("1^9", "1"),
+            ("(a*b/c)^(-6)", "c^6/(a^6*b^6)"),
+            ("1+a^2^3", "a^8+1"),
+            ("(a+b)^5", "a^5+5*a^4*b+10*a^3*b^2+10*a^2*b^3+5*a*b^4+b^5"),
+        ],
+    )
+    def test_kept(self, text, expected):
+        assert emit_expr(normalize(parse(text))) == expected
 
 
 class TestSimplify:

@@ -2,15 +2,20 @@ import errno
 import io
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polybridge
 from polybridge.cli import CliOptions, main, run
+
+from genlib import run_cli
 
 
 def invoke(monkeypatch, capsys, argv, stdin=""):
@@ -489,28 +494,118 @@ class TestDeepNesting:
         code, out, err = invoke(monkeypatch, capsys, [], stdin=text)
         assert (code, out, err) == (0, "P(1)=1;\nP(2)=0;\n", "")
 
-    @pytest.mark.parametrize(
-        "stage", ["parse", "apply_renames", "collect_main_var", "simplify", "emit_coeff_script"]
-    )
-    def test_recursion_error_in_any_stage_exits_3(self, stage, monkeypatch, capsys):
-        def too_deep(*args, **kwargs):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(polybridge.cli, stage, too_deep)
-        code, out, err = invoke(monkeypatch, capsys, [], stdin="a*x^2+b")
-        assert (code, out, err) == (3, "", "error: expression is nested too deeply\n")
-
     def test_deep_input_process(self):
         proc = run_module([], DEEP_INPUTS["minus_2000"].encode("ascii"))
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert proc.stderr == b"error: expression is nested too deeply\n"
 
+    @pytest.mark.parametrize("fmt", ["script", "vector", "expr"])
+    def test_horner_form_of_degree_300_converts(self, fmt):
+        # Two tree levels per degree: (…((a0)*x+a1)*x+…)*x+a300.
+        n = 300
+        horner = "(a0)"
+        for i in range(1, n + 1):
+            horner = f"({horner}*x+a{i})"
+        expanded = "+".join(f"a{i}*x^{n - i}" for i in range(n + 1))
+        code, out, err = run_cli(horner, format=fmt)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(expanded, format=fmt)
+        if fmt == "vector":
+            assert out == "P=[" + ", ".join(f"a{i}" for i in range(n + 1)) + "];\n"
+
+
+def limit_address_space():
+    """Run in the child: cap its memory at 2 GB, so a runaway power fails fast."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestPowerLimit:
+    def test_power_tower_exits_3_at_once(self):
+        # 2^(2^65536): refused before any power of it is computed.
+        proc = subprocess.run(
+            [sys.executable, "-m", "polybridge"],
+            input=b"2^2^2^2^2^2+x",
+            capture_output=True,
+            env=package_env(),
+            timeout=20,
+            preexec_fn=limit_address_space,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, b"", b"error at 1:1: exponent magnitude is above the limit of 65536\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("2^(10^9)+x", 1), ("0.5^3^020+0.5β", 1), ("b^3^3^22.x^2", 3), ("(x+1)^100000", 2)],
+    )
+    def test_large_powers_exit_3(self, text, column):
+        assert run_cli(text) == (
+            3, "", f"error at 1:{column}: exponent magnitude is above the limit of 65536\n"
+        )
+
+
+# Fragments of the contract fuzz.
+OPERANDS = ["x", "a", "P", "end", "β", "\\[Beta]", "0.5"]
+OPERATORS = ["+", "-", "*", "/", " ", ""]
+NOISE = [*OPERANDS, *OPERATORS, "(", ")", ";", "7 "]
+FUZZ_OPTIONS = [
+    dict(format=fmt, simplify_level=level, main_var=var)
+    for fmt in ("script", "vector", "expr")
+    for level in (0, 1)
+    for var in ("x", "a", "P")
+]
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """One to four operands joined by operators, with at most one '^' (in
+    an operator's place), at most one parenthesized group of one or two
+    operands, and at most one fragment of noise anywhere.
+
+    An integer carries a trailing space, so two never merge into a larger
+    number. A noise parenthesis leaves the parentheses unbalanced, a syntax
+    error, so a '^' raises at most a two-term sum to a power below 100.
+    """
+    operand = st.one_of(st.sampled_from(OPERANDS), st.integers(0, 99).map(lambda n: f"{n} "))
+    n = draw(st.integers(1, 4))
+    operands = [draw(operand) for _ in range(n)]
+    operators = [draw(st.sampled_from(OPERATORS)) for _ in range(n - 1)]
+    if operators and draw(st.booleans()):
+        operators[draw(st.integers(0, n - 2))] = "^"
+    if draw(st.booleans()):
+        first = draw(st.integers(0, n - 1))
+        last = draw(st.integers(first, min(first + 1, n - 1)))
+        operands[first] = "(" + operands[first]
+        operands[last] += ")"
+    parts = [operands[0]]
+    for operator, operand_text in zip(operators, operands[1:]):
+        parts += [operator, operand_text]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(NOISE)))
+    return "".join(parts)
+
+
+class TestContractFuzz:
+    """Exit code in {0,2,3,4}, no stdout on failure, never a traceback."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(fuzz_inputs())
+    def test_cli_contract(self, text):
+        for options in FUZZ_OPTIONS:
+            code, out, err = run_cli(text, **options)
+            assert code in (0, 2, 3, 4), (text, options)
+            assert code == 0 or out == "", (text, options)
+            assert "Traceback" not in err, (text, options)
+
 
 class TestModuleEntryPoint:
     def test_import_skips_fractions_and_decimal(self):
-        # Only a decimal literal needs `fractions`, which imports `decimal`.
-        code = "import sys, polybridge.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        # `fractions` imports `decimal`; the parser builds decimals from digits.
+        code = (
+            "import sys, polybridge.cli; polybridge.cli.parse('0.5*x+1.25');"
+            " print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, env=package_env(), timeout=60, text=True
         )

@@ -213,6 +213,25 @@ class TestParse:
         assert parse("2.") == IntegerLit(2)
         assert eval_at(parse("0.1"), {}) == Fraction(1, 10)
 
+    @pytest.mark.parametrize("text", ["0.5", ".25", "2.", "2.50", "007.0", "0.0", "12.345", ".000"])
+    def test_decimal_literal_matches_fraction(self, text):
+        value = Fraction(text)
+        node = parse(text)
+        if value.denominator == 1:
+            assert node == IntegerLit(value.numerator)
+        else:
+            assert node == RationalLit(value.numerator, value.denominator)
+        assert node.span == (0, len(text))
+
+    def test_digit_limit_applies_to_each_side_of_a_decimal(self):
+        # 3000 digits on each side: 6000 in all, above the 4300 default limit.
+        text = "7" * 3000 + "." + "3" * 2999 + "2"
+        node = parse(text)
+        value = Fraction(int("7" * 3000) * 10**3000 + int("3" * 2999 + "2"), 10**3000)
+        assert (node.numerator, node.denominator) == (value.numerator, value.denominator)
+        with pytest.raises(SourceError, match="number is too long"):
+            parse("1." + "5" * 5000)
+
     def test_negative_exponent_requires_parens(self):
         with pytest.raises(SourceError):
             parse("a^-2")

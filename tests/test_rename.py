@@ -19,7 +19,9 @@ from polybridge.rename import (
     resolve_renames,
 )
 
-from genlib import eval_at, eval_at_valid_point, rand_expr_tree
+from polybridge.expr import symbols_of
+
+from genlib import eval_at, eval_at_valid_point, flat_tree, rand_expr_tree, tree_depth
 
 
 class TestDefaultGreekMap:
@@ -95,6 +97,15 @@ class TestApplyRenames:
             inline_rename_spec("γ_b=gb"),
         )
         assert out == parse("gb*x")
+
+    def test_deep_chain(self):
+        # Deep trees are compared with flat_tree: dataclass `==` recurses.
+        n = 5000
+        e = parse("-" * n + "β")
+        out = apply_renames(e, default_greek_map())
+        assert symbols_of(out) == {"beta"}
+        assert tree_depth(out) == n + 1
+        assert flat_tree(out)[:-1] == flat_tree(e)[:-1]
 
     def test_idempotent(self):
         spec = default_greek_map()
