@@ -127,9 +127,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading(self) -> tuple[int, int]:
-        return next(iter(self.terms.items()))
-
 
 def _mul(a: Packed, b: Packed) -> Packed:
     """Schoolbook product of packed term dicts; zero-free operands give a
@@ -457,9 +454,8 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     one symbol, and neither side is a single term. Canonical form has
     cancelled the common monomial, so a one-term side `c*t^k` has `k = 0` or
     faces a nonzero constant term, and the GCD is constant either way.
-    The GCD is the last primitive remainder over Z (Brown, JACM 1971); by
-    Gauss's lemma it divides both sides over Z. The result is always
-    cross-multiplication-equal to the input.
+    The GCD is heuristic (Char, Geddes & Gonnet, JSC 1989), checked by exact
+    products, so the result is always cross-multiplication-equal to the input.
     """
     if level == 0:
         return r
@@ -468,64 +464,64 @@ def simplify(r: RatFunc, level: int) -> RatFunc:
     num, den = r.numerator, r.denominator
     if len(num.symbols) != 1 or len(num.terms) == 1 or len(den.terms) == 1:
         return r
-    a, b = _dense(num), _dense(den)
-    g = _primitive_gcd(a, b)
-    if len(g) < 2:
+    h, a, b = _heu_gcd(num.terms, den.terms)
+    if len(h) == 1:
         return r
-    return _canonical(num.symbols, _exact_quotient(a, g), _exact_quotient(b, g), num.bits)
+    return _canonical(num.symbols, a, b, num.bits)
 
 
-def _dense(p: MultiPoly) -> list[int]:
-    """Coefficients of a univariate polynomial, constant term first; a
-    univariate key is its exponent."""
-    out = [0] * (p.leading()[0] + 1)
-    for e, c in p.terms.items():
-        out[e] = c
-    return out
-
-
-def _primitive(p: list[int]) -> list[int]:
-    content = gcd(*p)
-    return [c // content for c in p] if content > 1 else p
-
-
-def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive GCD over Z of two nonzero dense polynomials (up to sign)."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return a
-
-
-def _exact_quotient(a: list[int], g: list[int]) -> Packed:
-    """`a / g` as a packed univariate dict: the key of `t^i` is `i`."""
-    q, rem, scaled = _pseudo_divmod(a, g)
-    assert not rem and not scaled, "inexact polynomial division"
-    return {i: c for i, c in enumerate(q) if c}
-
-
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], bool]:
-    """Long division of dense int polynomials: `(q, r, scaled)`.
-
-    `s*a == q*b + r` with deg r < deg b. A step scales the running remainder
-    and quotient by lc(b) only when lc(b) does not divide the leading
-    coefficient, so `s` is a power of lc(b), and `scaled` says if `s != 1`.
+def _heu_gcd(f: Packed, g: Packed) -> tuple[Packed, Packed, Packed]:
+    """`(h, f/h, g/h)`, `h` the primitive GCD over Z (up to sign) of nonzero
+    univariate packed dicts, whose keys are exponents (GCDHEU, Char, Geddes
+    & Gonnet). At xi = 2**bits > 2*min(|f|, |g|) + 2 in the max norm, with 8
+    spare bits, the primitive part `h` of the symmetric base-xi digits of
+    gcd(f(xi), g(xi)) is the GCD if it divides both sides, so a constant `h`
+    is final. Otherwise the cofactors, read from the integer quotients by
+    h(xi), must give back `f` and `g` as exact products with `h`, or xi is
+    squared. An unlucky xi only adds a factor dividing the resultant of the
+    true cofactors, so a large enough xi reads every digit exactly: the loop
+    needs no cap.
     """
-    r, q = list(a), [0] * (len(a) - len(b) + 1)
-    lead, n = b[-1], len(b) - 1
-    scaled = False
-    for shift in range(len(q) - 1, -1, -1):
-        top = r[shift + n]
-        if not top:
-            continue
-        f, rest = divmod(top, lead)
-        if rest:
-            r, q, f = [c * lead for c in r], [c * lead for c in q], top
-            scaled = True
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
-    del r[n:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r, scaled
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    bits = (2 * norm + 2).bit_length() + 8
+    while True:
+        fx, gx = _at(f, bits), _at(g, bits)
+        hx = gcd(fx, gx)
+        h = _digits(hx, bits)
+        if h.keys() == {0}:
+            return {0: 1}, f, g
+        content = gcd(*h.values())
+        if content > 1:
+            h = {e: c // content for e, c in h.items()}
+            hx //= content
+        a, b = _digits(fx // hx, bits), _digits(gx // hx, bits)
+        if _mul(a, h) == f and _mul(b, h) == g:
+            return h, a, b
+        bits *= 2
+
+
+def _at(p: Packed, bits: int) -> int:
+    """The univariate `p` evaluated at 2**bits."""
+    return sum([c << bits * e for e, c in p.items()])
+
+
+def _digits(n: int, bits: int, out: Packed | None = None, e: int = 0) -> Packed:
+    """The univariate packed dict equal to `n` at 2**bits, with digits in
+    [-2**(bits-1), 2**(bits-1)), added to `out` from key `e` on. Each shift
+    copies `n`, so above 4096 bits (the fastest cut timed) `n` is halved
+    first, the low half's carry moving up."""
+    if out is None:
+        out = {}
+    count = n.bit_length() // bits
+    if count > 1 and n.bit_length() > 4096:
+        k = count // 2
+        _digits(n & (1 << bits * k) - 1, bits, out, e)
+        return _digits((n >> bits * k) + out.pop(e + k, 0), bits, out, e + k)
+    half, mask = 1 << bits - 1, (1 << bits) - 1
+    while n:
+        d = ((n + half) & mask) - half
+        if d:
+            out[e] = d
+        n = (n - d) >> bits
+        e += 1
+    return out

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import os
 import re
@@ -543,6 +544,28 @@ class TestPowerLimit:
         assert run_cli(text) == (
             3, "", f"error at 1:{column}: exponent magnitude is above the limit of 65536\n"
         )
+
+
+class TestSimplifyTime:
+    # The remainder sequence that the heuristic GCD replaced spent 13 s and
+    # 5 s in `simplify` on these; the digests are of its output.
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("x*(b^300-1)/(b^7-2*b+1)^40", "c342f501e4e9cd924b530f452dd0037385e608017fdd54f3da4d801fdc473f78"),
+            ("x*((b+1)^200-1)/((b+2)^150+1)", "ae9f2bc08f9b113faddbe5eee41ba107aa00465106fd57b6875e0802a56eb047"),
+        ],
+    )
+    def test_large_gcd_inputs_convert_fast(self, text, digest):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polybridge"],
+            input=text.encode("ascii"),
+            capture_output=True,
+            env=package_env(),
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 # Fragments of the contract fuzz.
