@@ -121,12 +121,6 @@ class MultiPoly:
     terms: Packed
     bits: int
 
-    def layout(self) -> tuple[range, int]:
-        return field_layout(len(self.symbols), self.bits)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def _mul(a: Packed, b: Packed) -> Packed:
     """Schoolbook product of packed term dicts; zero-free operands give a
@@ -181,9 +175,6 @@ class RatFunc:
 
     numerator: MultiPoly
     denominator: MultiPoly
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
 
 
 RATFUNC_ZERO = RatFunc(MultiPoly((), {}, 8), MultiPoly((), {0: 1}, 8))
@@ -312,7 +303,7 @@ def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, P
             if k is None:
                 raise SymbolicExponent(
                     "exponent does not normalize to an integer constant",
-                    getattr(exponent, "span", None) or e.span,
+                    exponent.span or e.span,
                 )
         bn, bd, bound = _to_num_den(e.base, keys, limit)
         # Powers stay small only if each side is 0 or one term with coefficient ±1.
@@ -322,10 +313,7 @@ def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, P
         if k >= 0:
             return _pow(bn, k), (bd if bd == _ONE else _pow(bd, k)), bound
         if not bn:
-            raise ZeroDenominator(
-                "zero raised to a negative power",
-                getattr(e.base, "span", None) or e.span,
-            )
+            raise ZeroDenominator("zero raised to a negative power", e.base.span or e.span)
         return _pow(bd, -k), _pow(bn, -k), bound
     if t is Sum:
         # Numerators add in place; only a denominator other than 1 costs
@@ -347,10 +335,7 @@ def _to_num_den(e: Expr, keys: Mapping[str, int], limit: int) -> tuple[Packed, P
         num, den, nb = _to_num_den(e.numerator, keys, limit)
         dn, dd, db = _to_num_den(e.denominator, keys, limit)
         if not dn:
-            raise ZeroDenominator(
-                "denominator is identically zero",
-                getattr(e.denominator, "span", None) or e.span,
-            )
+            raise ZeroDenominator("denominator is identically zero", e.denominator.span or e.span)
         bound = _fits(nb + db, limit)
         return (num if dd == _ONE else _mul(num, dd)), _mul(den, dn), bound
     if t is RationalLit:
@@ -445,22 +430,19 @@ def collect_main_var(e: Expr, var: str) -> MainVarPoly:
     return MainVarPoly(var, tuple(coeffs))
 
 
-def simplify(r: RatFunc, level: int) -> RatFunc:
-    """Optionally cancel common univariate factors.
+def simplify(r: RatFunc) -> RatFunc:
+    """Cancel common univariate factors.
 
-    Level 0 returns the input unchanged (canonical form already combines
-    like terms). Level 1 additionally divides out the polynomial GCD when
-    the canonical `r` is univariate, i.e. its trimmed symbol table holds
-    one symbol, and neither side is a single term. Canonical form has
-    cancelled the common monomial, so a one-term side `c*t^k` has `k = 0` or
-    faces a nonzero constant term, and the GCD is constant either way.
-    The GCD is heuristic (Char, Geddes & Gonnet, JSC 1989), checked by exact
-    products, so the result is always cross-multiplication-equal to the input.
+    Canonical form already combines like terms; this also divides out the
+    polynomial GCD when the canonical `r` is univariate, i.e. its trimmed
+    symbol table holds one symbol, and neither side is a single term.
+    Canonical form has cancelled the common monomial, so a one-term side
+    `c*t^k` has `k = 0` or faces a nonzero constant term, and the GCD is
+    constant either way. The GCD is heuristic (Char, Geddes & Gonnet, JSC
+    1989), checked by exact products, so the result is always
+    cross-multiplication-equal to the input, and it is `r` itself when
+    nothing cancels.
     """
-    if level == 0:
-        return r
-    if level != 1:
-        raise ValueError(f"unknown simplify level {level!r}")
     num, den = r.numerator, r.denominator
     if len(num.symbols) != 1 or len(num.terms) == 1 or len(den.terms) == 1:
         return r

@@ -18,7 +18,7 @@ import stat
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -68,20 +68,6 @@ class CliOptions:
     show_time: bool = False
 
 
-class _Timer:
-    def __init__(self, enabled: bool, diag: TextIO):
-        self.enabled = enabled
-        self.diag = diag
-
-    def stage(self, name: str, fn: Callable):
-        start = time.perf_counter()
-        result = fn()
-        if self.enabled:
-            elapsed = (time.perf_counter() - start) * 1000.0
-            print(f"{name}: {elapsed:.2f} ms", file=self.diag)
-        return result
-
-
 def _line_column(text: str, offset: int) -> tuple[int, int]:
     """1-based line and column of a span's character offset into `text`."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
@@ -125,9 +111,17 @@ def run(options: CliOptions) -> int:
     name only in the script and vector formats, which print it. A symbol the
     emitter refuses exits 4. A stage fails only by the errors caught here;
     input nested too deeply for the algebra is an AlgebraError (exit 3).
+    The simplify stage runs only at simplify level 1.
     """
     diag = sys.stderr
-    timer = _Timer(options.show_time, diag)
+
+    def stage(name: str, fn: Callable):
+        start = time.perf_counter()
+        result = fn()
+        if options.show_time:
+            print(f"{name}: {(time.perf_counter() - start) * 1000.0:.2f} ms", file=diag)
+        return result
+
     try:
         if options.format not in FORMATS:
             raise ValueError(f"unknown format {options.format!r}")
@@ -144,14 +138,14 @@ def run(options: CliOptions) -> int:
     try:
         text = _strip_statement_terminator(_read_input(options.input))
     except OSError as err:
-        print(f"error: cannot read {options.input!r}: {err}", file=diag)
+        print(f"error: cannot read {options.input!r}: {err.strerror or err}", file=diag)
         return EXIT_USAGE
     except UnicodeError:
         print(f"error: cannot read {options.input!r}: not valid UTF-8", file=diag)
         return EXIT_USAGE
 
     try:
-        tree = timer.stage("parse", lambda: parse(text))
+        tree = stage("parse", lambda: parse(text))
     except SourceError as err:
         line, column = _line_column(text, err.span[0])
         print(f"{err.kind} error at {line}:{column}: {err.message}", file=diag)
@@ -159,35 +153,39 @@ def run(options: CliOptions) -> int:
 
     try:
         specs = _build_specs(options)
-        renamed = timer.stage("rename", lambda: apply_renames(tree, *specs))
-    except (RenameError, RenameCollision, OSError) as err:
+        renamed = stage("rename", lambda: apply_renames(tree, *specs))
+    except (RenameError, RenameCollision) as err:
         print(f"error: {err}", file=diag)
+        return EXIT_USAGE
+    except OSError as err:  # only the rename file is read here
+        print(f"error: cannot read {options.rename_file!r}: {err.strerror or err}", file=diag)
         return EXIT_USAGE
     # The main variable is renamed by the same rules as the tree's symbols.
     main_var = resolve_renames({main_var}, tuple(specs))[main_var]
 
     try:
         if options.format == FORMAT_EXPR:
-            value = timer.stage("normalize", lambda: normalize(renamed))
-            value = timer.stage("simplify", lambda: simplify(value, options.simplify_level))
-            output = timer.stage("emit", lambda: emit_expr(value) + "\n")
+            value = stage("normalize", lambda: normalize(renamed))
+            if options.simplify_level:
+                value = stage("simplify", lambda: simplify(value))
+            output = stage("emit", lambda: emit_expr(value) + "\n")
             residue = ", ".join(sorted(s for s in value.numerator.symbols if not s.isascii()))
             if residue:
                 print(f"warning: output contains non-ASCII symbols: {residue}", file=diag)
         else:
-            collected = timer.stage("collect", lambda: collect_main_var(renamed, main_var))
-            collected = timer.stage(
-                "simplify",
-                lambda: MainVarPoly(
-                    collected.main_var,
-                    tuple(simplify(c, options.simplify_level) for c in collected.coeffs),
-                ),
-            )
+            collected = stage("collect", lambda: collect_main_var(renamed, main_var))
+            if options.simplify_level:
+                collected = stage(
+                    "simplify",
+                    lambda: MainVarPoly(
+                        collected.main_var, tuple(simplify(c) for c in collected.coeffs)
+                    ),
+                )
             try:
                 if options.format == FORMAT_SCRIPT:
-                    output = timer.stage("emit", lambda: emit_coeff_script(collected, cfg))
+                    output = stage("emit", lambda: emit_coeff_script(collected, cfg))
                 else:
-                    output = timer.stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")
+                    output = stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")
             except ValueError as err:  # a symbol Matlab would misread
                 print(f"error: {err}", file=diag)
                 return EXIT_USAGE
@@ -200,9 +198,10 @@ def run(options: CliOptions) -> int:
         return EXIT_NOT_POLYNOMIAL
 
     try:
-        timer.stage("write", lambda: _write_output(options.output, output))
+        stage("write", lambda: _write_output(options.output, output))
     except OSError as err:
-        print(f"error: cannot write {options.output!r}: {err.strerror or err}", file=diag)
+        target = "to stdout" if options.output is None else repr(options.output)
+        print(f"error: cannot write {target}: {err.strerror or err}", file=diag)
         return EXIT_USAGE
     return EXIT_OK
 

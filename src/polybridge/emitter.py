@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, MainVarPoly, MultiPoly, RatFunc, common_monomial
+from .algebra import AlgebraError, MainVarPoly, MultiPoly, RatFunc, common_monomial, field_layout
 from .parser import is_ascii_identifier
 
 FORMAT_SCRIPT = "script"
@@ -76,11 +76,11 @@ def _poly_text(p: MultiPoly) -> tuple[str, bool]:
     A multi-term polynomial whose terms all share a monomial factor emits
     factored, e.g. c^4*(t-u) instead of c^4*t-c^4*u.
     """
-    if p.is_zero():
-        return "0", False
-    shifts, mask = p.layout()
-    fields = list(zip(p.symbols, shifts))
     terms = p.terms
+    if not terms:
+        return "0", False
+    shifts, mask = field_layout(len(p.symbols), p.bits)
+    fields = list(zip(p.symbols, shifts))
     if len(terms) > 1:
         # A constant term, if any, comes last and ends the scan at once.
         g = common_monomial(reversed(terms), shifts, mask)
@@ -91,26 +91,14 @@ def _poly_text(p: MultiPoly) -> tuple[str, bool]:
     return _sum_text(terms, fields, mask), len(terms) > 1
 
 
-def _is_divisor_atom(p: MultiPoly) -> bool:
-    """True when a denominator needs no parentheses after '/'.
-
-    That is a single symbol, a single power, or a single integer; anything
-    else (products, sums, coefficients != 1) is wrapped.
-    """
-    if len(p.terms) != 1:
-        return False
-    ((key, coeff),) = p.terms.items()
-    if not key:
-        return coeff > 0
-    shifts, mask = p.layout()
-    return coeff == 1 and sum(1 for s in shifts if key >> s & mask) == 1
-
-
 def emit_expr(r: RatFunc) -> str:
     """Explicit-operator rendering of a canonical rational function.
 
     Numerator and denominator each emit with their common monomial factored
-    out (see `_poly_text`). The output re-parses to a value
+    out (see `_poly_text`). A denominator is wrapped in parentheses unless it
+    is a single symbol, power or positive integer: its leading coefficient
+    is positive, and names and exponents hold no operator, so that is when
+    its text holds no `*`, `+` or `-`. The output re-parses to a value
     cross-multiplication-equal to `r`. A coefficient or exponent beyond
     Python's int/str digit limit raises AlgebraError.
     """
@@ -127,7 +115,7 @@ def emit_expr(r: RatFunc) -> str:
             "number is too long to print: Python converts at most "
             f"{sys.get_int_max_str_digits()} digits"
         ) from None
-    if not _is_divisor_atom(den):
+    if "*" in den_text or "+" in den_text or "-" in den_text:
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"
 

@@ -101,12 +101,19 @@ class TestHappyPaths:
         assert code == 0
         assert out == "1/x\n"
 
-    def test_time_flag_reports_stages(self, monkeypatch, capsys):
-        code, out, err = invoke(monkeypatch, capsys, ["--time"], stdin="x+1")
-        assert code == 0
-        assert out == "P(1)=1;\nP(2)=1;\n"
-        for stage in ("parse", "rename", "collect", "simplify", "emit", "write"):
-            assert re.search(rf"^{stage}: [0-9.]+ ms$", err, re.M), err
+    @pytest.mark.parametrize(
+        "argv, expected, stages",
+        [
+            ([], "P(1)=1;\nP(2)=1;\n", "parse rename collect simplify emit write"),
+            (["--format", "expr"], "x+1\n", "parse rename normalize simplify emit write"),
+            (["--simplify", "0"], "P(1)=1;\nP(2)=1;\n", "parse rename collect emit write"),
+        ],
+        ids=["default", "expr", "simplify-0"],
+    )
+    def test_time_flag_reports_stages(self, argv, expected, stages, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, ["--time", *argv], stdin="x+1")
+        assert (code, out) == (0, expected)
+        assert re.findall(r"^(\w+): [0-9.]+ ms$", err, re.M) == stages.split(), err
 
 
 class TestRenameOptions:
@@ -334,7 +341,41 @@ class TestErrorContracts:
     def test_missing_input_file_exits_4(self, capsys):
         code = main(["/nonexistent/poly.txt"])
         assert code == 4
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot read '/nonexistent/poly.txt': No such file or directory\n"
+        )
+
+    def test_missing_rename_file_exits_4(self, tmp_path, monkeypatch, capsys):
+        rules = str(tmp_path / "missing.txt")
+        code, out, err = invoke(monkeypatch, capsys, ["--rename-file", rules], stdin="x")
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot read {rules!r}: No such file or directory\n"
+
+    def test_failing_stdout_exits_4(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x+1"))
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main([]) == 4
+        assert capsys.readouterr().err == "error: cannot write to stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_process(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polybridge"],
+                input=b"x+1",
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=package_env(),
+                timeout=60,
+            )
+        assert proc.returncode == 4
+        assert proc.stderr == b"error: cannot write to stdout: No space left on device\n"
 
     def test_bad_rename_file_exits_4(self, tmp_path, monkeypatch, capsys):
         rules = tmp_path / "renames.txt"
@@ -388,6 +429,8 @@ class TestRunApi:
             CliOptions(array_name="9P"),
             CliOptions(array_name="Ω"),
             CliOptions(main_var="2x"),
+            CliOptions(simplify_level=2),
+            CliOptions(main_var="$"),
         ],
     )
     def test_run_rejects_bad_options(self, options, monkeypatch, capsys):

@@ -202,7 +202,7 @@ class TestCliRefusesWhatTheLibraryRefuses:
                     p = collect_main_var(tree, "x")
                 except AlgebraError:
                     continue
-                p = MainVarPoly(p.main_var, tuple(simplify(c, 1) for c in p.coeffs))
+                p = MainVarPoly(p.main_var, tuple(simplify(c) for c in p.coeffs))
                 for (fmt, emit, end), name in product(formats, ("P", "Q")):
                     try:
                         want = (0, emit(p, EmitConfig(name)) + end, "")
