@@ -157,9 +157,6 @@ def run(options: CliOptions) -> int:
     except (RenameError, RenameCollision) as err:
         print(f"error: {err}", file=diag)
         return EXIT_USAGE
-    except OSError as err:  # only the rename file is read here
-        print(f"error: cannot read {options.rename_file!r}: {err.strerror or err}", file=diag)
-        return EXIT_USAGE
     # The main variable is renamed by the same rules as the tree's symbols.
     main_var = resolve_renames({main_var}, tuple(specs))[main_var]
 
@@ -202,6 +199,11 @@ def run(options: CliOptions) -> int:
     except OSError as err:
         target = "to stdout" if options.output is None else repr(options.output)
         print(f"error: cannot write {target}: {err.strerror or err}", file=diag)
+        if options.output is None and sys.stdout is sys.__stdout__:
+            # Python flushes stdout again at exit: drop what the write left.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return EXIT_USAGE
     return EXIT_OK
 

@@ -140,7 +140,8 @@ def parse_rename_file(text: str) -> RenameSpec:
 def load_rename_file(path: str) -> RenameSpec:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_rename_file(fh.read())
     except UnicodeDecodeError:
         raise RenameError(f"rename file {path!r} is not valid UTF-8") from None
-    return parse_rename_file(text)
+    except OSError as err:
+        raise RenameError(f"cannot read {path!r}: {err.strerror or err}") from None

@@ -364,18 +364,24 @@ class TestErrorContracts:
         assert capsys.readouterr().err == "error: cannot write to stdout: No space left on device\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_stdout_process(self):
+    @pytest.mark.parametrize("terms", [1, 4000])  # inside and beyond one 8 KiB buffer
+    def test_full_stdout_process(self, terms):
+        # Buffered, as for a user: a failed flush keeps its bytes, and Python
+        # flushes stdout once more at exit.
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        source = "+".join(f"a{i}*x^{i % 5}" for i in range(terms)).encode()
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "polybridge"],
-                input=b"x+1",
+                input=source,
                 stdout=full,
                 stderr=subprocess.PIPE,
-                env=package_env(),
+                env=env,
                 timeout=60,
             )
-        assert proc.returncode == 4
         assert proc.stderr == b"error: cannot write to stdout: No space left on device\n"
+        assert proc.returncode == 4
 
     def test_bad_rename_file_exits_4(self, tmp_path, monkeypatch, capsys):
         rules = tmp_path / "renames.txt"
