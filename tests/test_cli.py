@@ -143,6 +143,23 @@ class TestRenameOptions:
         assert code == 0
         assert out == "P=[gfile, winline, beta];\n"
 
+    @pytest.mark.parametrize(
+        "argv, file_rules, text, want",
+        [
+            (["--rename", "a=b", "--rename", "a=c", "--rename", "β=b0"], None, "a*x+β", "P=[c, b0];\n"),
+            (["--rename", "a=c"], "a=q\n", "a*x", "P=[c, 0];\n"),
+            (["--no-greek-defaults", "--rename", "γb=g"], None, "γb*x", "P=[g, 0];\n"),
+        ],
+        ids=["later-inline-wins", "inline-over-file", "no-greek-defaults"],
+    )
+    def test_rename_precedence(self, argv, file_rules, text, want, tmp_path, monkeypatch, capsys):
+        if file_rules is not None:
+            rules = tmp_path / "renames.txt"
+            rules.write_text(file_rules, encoding="utf-8")
+            argv = ["--rename-file", str(rules), *argv]
+        result = invoke(monkeypatch, capsys, ["--format", "vector", *argv], stdin=text)
+        assert result == (0, want, "")
+
     def test_no_greek_defaults_leaves_script_mode_erroring(self, monkeypatch, capsys):
         code, out, err = invoke(
             monkeypatch, capsys, ["--no-greek-defaults"], stdin="β*x+1"
