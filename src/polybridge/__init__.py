@@ -7,20 +7,18 @@ exact rational-function coefficients, and the result is emitted as an
 explicit-operator coefficient script, coefficient vector, or plain
 expression that a numerical environment can consume directly.
 
-The package exports the documented operations, `EmitConfig` and the errors
-a caller catches; everything else lives in its submodule (`algebra`,
-`emitter`, `expr`, `parser`, `rename`), and the command line in `cli`.
+The package exports the documented operations and the errors a caller
+catches; everything else lives in its submodule (`algebra`, `emitter`,
+`expr`, `parser`, `rename`), and the command line in `cli`.
 """
 
 from .algebra import (
     AlgebraError,
-    coefficient_of,
     collect_main_var,
-    degree_in,
     normalize,
     simplify,
 )
-from .emitter import EmitConfig, emit_coeff_script, emit_coeff_vector, emit_expr
+from .emitter import emit_coeff_script, emit_coeff_vector, emit_expr
 from .expr import substitute
 from .parser import SourceError, parse
 from .rename import RenameCollision, RenameError, apply_renames
@@ -29,14 +27,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraError",
-    "EmitConfig",
     "RenameCollision",
     "RenameError",
     "SourceError",
     "apply_renames",
-    "coefficient_of",
     "collect_main_var",
-    "degree_in",
     "emit_coeff_script",
     "emit_coeff_vector",
     "emit_expr",

@@ -350,50 +350,6 @@ def _integer_constant(num: Packed, den: Packed) -> int | None:
     return None if rest else k
 
 
-def _split(e: Expr, var: str) -> tuple[SymbolTable, dict[int, Packed], Packed, int]:
-    """The numerator of `e` bucketed by its power of `var`, and the denominator.
-
-    Returns `(table, buckets, den, bits)`: both stay packed, with `var` cut
-    out of every key and of the symbol table, so each bucket over the shared
-    denominator goes to `_canonical` as one coefficient. The smallest
-    power of `var` over both sides is cancelled first, as canonical form
-    cancels a common monomial (`x^2/x` has degree 1); every denominator term
-    must hold `var` to exactly that power. A zero numerator has no buckets.
-    """
-    table, num, den, bits = _packed(e)
-    buckets = {0: num} if num else {}
-    if num and var in table:
-        i = table.index(var)
-        shifts, mask = field_layout(len(table), bits)
-        shift = shifts[i]
-        rest, high = (1 << shift) - 1, shift + bits
-        buckets = defaultdict(dict)
-        for k, c in num.items():
-            # The key without var's field: the fields above it move down.
-            buckets[k >> shift & mask][k >> high << shift | k & rest] = c
-        den_fields = {k >> shift & mask for k in den}
-        low = min(min(buckets), *den_fields)
-        if den_fields != {low}:
-            raise NotPolynomialInVar(f"denominator contains the main variable '{var}'")
-        buckets = {field - low: bucket for field, bucket in buckets.items()}
-        den = {k >> high << shift | k & rest: c for k, c in den.items()}
-        table = table[:i] + table[i + 1 :]
-    return table, buckets, den, bits
-
-
-def degree_in(e: Expr, var: str) -> int:
-    """Largest power of `var` with a nonzero coefficient (0 for constants)."""
-    return max(_split(e, var)[1], default=0)
-
-
-def coefficient_of(e: Expr, var: str, k: int) -> RatFunc:
-    """The RatFunc multiplying var^k in the canonical form of `e`."""
-    if k < 0:
-        raise ValueError("coefficient index must be nonnegative")
-    table, buckets, den, bits = _split(e, var)
-    return _canonical(table, buckets[k], den, bits) if k in buckets else RATFUNC_ZERO
-
-
 @dataclass(frozen=True)
 class MainVarPoly:
     """A polynomial in one distinguished variable with RatFunc coefficients.
@@ -413,10 +369,29 @@ class MainVarPoly:
 def collect_main_var(e: Expr, var: str) -> MainVarPoly:
     """Collect `e` as a polynomial in `var` with var-free coefficients.
 
-    A degree above `MAX_DEGREE` raises AlgebraError before any coefficient
-    is built.
+    The smallest power of `var` over both sides is cancelled first, as
+    canonical form cancels a common monomial (`x^2/x` has degree 1); every
+    denominator term must hold `var` to exactly that power. A degree above
+    `MAX_DEGREE` raises AlgebraError before any coefficient is built.
     """
-    table, buckets, den, bits = _split(e, var)
+    table, num, den, bits = _packed(e)
+    buckets = {0: num} if num else {}
+    if num and var in table:
+        i = table.index(var)
+        shifts, mask = field_layout(len(table), bits)
+        shift = shifts[i]
+        rest, high = (1 << shift) - 1, shift + bits
+        buckets = defaultdict(dict)
+        for k, c in num.items():
+            # The key without var's field: the fields above it move down.
+            buckets[k >> shift & mask][k >> high << shift | k & rest] = c
+        den_fields = {k >> shift & mask for k in den}
+        low = min(min(buckets), *den_fields)
+        if den_fields != {low}:
+            raise NotPolynomialInVar(f"denominator contains the main variable '{var}'")
+        buckets = {field - low: bucket for field, bucket in buckets.items()}
+        den = {k >> high << shift | k & rest: c for k, c in den.items()}
+        table = table[:i] + table[i + 1 :]
     degree = max(buckets, default=0)
     if degree > MAX_DEGREE:
         try:

@@ -31,7 +31,7 @@ from .emitter import (
     FORMAT_EXPR,
     FORMAT_SCRIPT,
     FORMATS,
-    EmitConfig,
+    check_array_name,
     emit_coeff_script,
     emit_coeff_vector,
     emit_expr,
@@ -40,11 +40,9 @@ from .parser import SourceError, parse, parse_identifier
 from .rename import (
     RenameCollision,
     RenameError,
-    RenameSpec,
     apply_renames,
-    default_greek_map,
-    inline_rename_spec,
     load_rename_file,
+    parse_rename_entry,
     resolve_renames,
 )
 
@@ -93,22 +91,11 @@ def _strip_statement_terminator(text: str) -> str:
     return stripped
 
 
-def _build_specs(options: CliOptions) -> list[RenameSpec]:
-    specs: list[RenameSpec] = []
-    if options.greek_defaults:
-        specs.append(default_greek_map())
-    if options.rename_file is not None:
-        specs.append(load_rename_file(options.rename_file))
-    for rule in options.inline_renames:
-        specs.append(inline_rename_spec(rule))
-    return specs
-
-
 def run(options: CliOptions) -> int:
     """Execute the full pipeline; returns the process exit code.
 
-    Options are validated here only, before any input is read; the array
-    name only in the script and vector formats, which print it. A symbol the
+    Options are validated before any input is read; the array name, by the
+    emitter's own check, only in the script and vector formats. A symbol the
     emitter refuses exits 4. A stage fails only by the errors caught here;
     input nested too deeply for the algebra is an AlgebraError (exit 3).
     The simplify stage runs only at simplify level 1.
@@ -125,7 +112,8 @@ def run(options: CliOptions) -> int:
     try:
         if options.format not in FORMATS:
             raise ValueError(f"unknown format {options.format!r}")
-        cfg = EmitConfig(options.array_name) if options.format != FORMAT_EXPR else None
+        if options.format != FORMAT_EXPR:
+            check_array_name(options.array_name)
         if options.simplify_level not in (0, 1):
             raise ValueError(f"simplify level must be 0 or 1, got {options.simplify_level!r}")
         main_var = parse_identifier(options.main_var)
@@ -152,13 +140,15 @@ def run(options: CliOptions) -> int:
         return EXIT_SYNTAX
 
     try:
-        specs = _build_specs(options)
-        renamed = stage("rename", lambda: apply_renames(tree, *specs))
+        # The file's rules, then each inline rule: a later rule for a symbol wins.
+        rules = {} if options.rename_file is None else load_rename_file(options.rename_file)
+        rules.update(parse_rename_entry(rule) for rule in options.inline_renames)
+        renamed = stage("rename", lambda: apply_renames(tree, rules, options.greek_defaults))
     except (RenameError, RenameCollision) as err:
         print(f"error: {err}", file=diag)
         return EXIT_USAGE
     # The main variable is renamed by the same rules as the tree's symbols.
-    main_var = resolve_renames({main_var}, tuple(specs))[main_var]
+    main_var = resolve_renames({main_var}, rules, options.greek_defaults)[main_var]
 
     try:
         if options.format == FORMAT_EXPR:
@@ -178,11 +168,12 @@ def run(options: CliOptions) -> int:
                         collected.main_var, tuple(simplify(c) for c in collected.coeffs)
                     ),
                 )
+            name = options.array_name
             try:
                 if options.format == FORMAT_SCRIPT:
-                    output = stage("emit", lambda: emit_coeff_script(collected, cfg))
+                    output = stage("emit", lambda: emit_coeff_script(collected, name))
                 else:
-                    output = stage("emit", lambda: emit_coeff_vector(collected, cfg) + "\n")
+                    output = stage("emit", lambda: emit_coeff_vector(collected, name) + "\n")
             except ValueError as err:  # a symbol Matlab would misread
                 print(f"error: {err}", file=diag)
                 return EXIT_USAGE

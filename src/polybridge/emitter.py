@@ -6,14 +6,13 @@ precedence table (^ above unary minus above * / above + -). Terms emit in
 descending monomial order, so identical inputs give byte-identical text. No
 whitespace is emitted except each script line's newline and the vector's `, `.
 
-Only this module decides what Matlab can read back: `EmitConfig` refuses a bad
-array name, and the script and vector emitters refuse misread symbols.
+Only this module decides what Matlab can read back: `check_array_name` refuses
+a bad array name, and the script and vector emitters refuse misread symbols.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .algebra import AlgebraError, MainVarPoly, MultiPoly, RatFunc, common_monomial, field_layout
 from .parser import is_ascii_identifier
@@ -30,21 +29,13 @@ MATLAB_KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class EmitConfig:
-    """Target array name of the script and vector formats.
-
-    Construction raises ValueError unless the name is an ASCII identifier
-    and not a Matlab keyword.
-    """
-
-    array_name: str = "P"
-
-    def __post_init__(self):
-        if not is_ascii_identifier(self.array_name):
-            raise ValueError(f"array name {self.array_name!r} is not an ASCII identifier")
-        if self.array_name in MATLAB_KEYWORDS:
-            raise ValueError(f"array name {self.array_name!r} is a Matlab keyword")
+def check_array_name(name: str) -> None:
+    """Raise ValueError unless `name` is an ASCII identifier and not a Matlab
+    keyword, so it can name the script's or vector's array."""
+    if not is_ascii_identifier(name):
+        raise ValueError(f"array name {name!r} is not an ASCII identifier")
+    if name in MATLAB_KEYWORDS:
+        raise ValueError(f"array name {name!r} is a Matlab keyword")
 
 
 def _monomial_text(key: int, fields: list[tuple[str, int]], mask: int) -> list[str]:
@@ -138,26 +129,30 @@ def _refuse_unreadable(p: MainVarPoly, array_name: str | None) -> None:
         )
 
 
-def emit_coeff_script(p: MainVarPoly, cfg: EmitConfig) -> str:
+def emit_coeff_script(p: MainVarPoly, array_name: str = "P") -> str:
     """One assignment line per coefficient, leading coefficient first.
 
     Line j (1-based) is `<name>(<j>)=<coefficient of main_var^(degree+1-j)>;`
     so line 1 carries the leading coefficient and the last line the
-    constant term. Every line ends with a newline. Raises ValueError on a
-    coefficient symbol that is non-ASCII, a Matlab keyword or the array name,
-    which `P(1)=...;` would overwrite before a later line reads it.
+    constant term. Every line ends with a newline. Raises ValueError on a bad
+    array name (see `check_array_name`), then on a coefficient symbol that is
+    non-ASCII, a Matlab keyword or the array name, which `P(1)=...;` would
+    overwrite before a later line reads it.
     """
-    _refuse_unreadable(p, cfg.array_name)
-    name = cfg.array_name
-    return "".join(f"{name}({j})={emit_expr(c)};\n" for j, c in enumerate(reversed(p.coeffs), 1))
+    check_array_name(array_name)
+    _refuse_unreadable(p, array_name)
+    lines = enumerate(reversed(p.coeffs), 1)
+    return "".join(f"{array_name}({j})={emit_expr(c)};\n" for j, c in lines)
 
 
-def emit_coeff_vector(p: MainVarPoly, cfg: EmitConfig) -> str:
+def emit_coeff_vector(p: MainVarPoly, array_name: str = "P") -> str:
     """Single-line coefficient vector in descending power order.
 
-    Raises ValueError on a non-ASCII or Matlab-keyword coefficient symbol; the
-    array name is fine, as `P=[1, P, 0];` reads `P` before it assigns.
+    Raises ValueError on a bad array name (see `check_array_name`), then on a
+    non-ASCII or Matlab-keyword coefficient symbol; a symbol named like the
+    array is fine, as `P=[1, P, 0];` reads `P` before it assigns.
     """
+    check_array_name(array_name)
     _refuse_unreadable(p, None)
     body = ", ".join(emit_expr(c) for c in reversed(p.coeffs))
-    return f"{cfg.array_name}=[{body}];"
+    return f"{array_name}=[{body}];"

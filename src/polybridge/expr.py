@@ -87,9 +87,6 @@ class Quotient:
 
 Expr = Union[IntegerLit, RationalLit, SymbolRef, Sum, Product, Power, Quotient]
 
-# Simultaneous symbol-substitution rules, the rule-replacement analog.
-RenameMap = Mapping[str, Expr]
-
 
 def make_sum(terms: Iterable[Expr], span: Span | None = None) -> Expr:
     """Build a Sum, collapsing a singleton to its sole element."""
@@ -138,7 +135,7 @@ def symbols_of(e: Expr) -> set[str]:
     return out
 
 
-def substitute(e: Expr, rules: RenameMap) -> Expr:
+def substitute(e: Expr, rules: Mapping[str, Expr]) -> Expr:
     """Replace symbols by mapped expressions, simultaneously, in one pass.
 
     Rule outputs are never re-rewritten, so ``{x: y, y: x}`` swaps the two

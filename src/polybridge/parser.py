@@ -91,14 +91,6 @@ class SourceError(Exception):
         self.kind = kind  # "lex" | "parse"
 
 
-def _lex_error(message: str, span: Span) -> SourceError:
-    return SourceError(message, span, "lex")
-
-
-def _parse_error(message: str, span: Span) -> SourceError:
-    return SourceError(message, span, "parse")
-
-
 def tokenize(text: str) -> list[Token]:
     """Lex text into tokens; spans are character offsets into `text`."""
     # tuple.__new__ skips the NamedTuple's Python-level __new__.
@@ -122,30 +114,32 @@ def tokenize(text: str) -> list[Token]:
 def _bad_token(text: str, m: re.Match) -> SourceError:
     bad, (start, end) = m.group(), m.span()
     if bad == "\\":
-        return _lex_error(
-            "malformed escape: expected \\[Name]", (start, min(start + 2, len(text)))
+        return SourceError(
+            "malformed escape: expected \\[Name]", (start, min(start + 2, len(text))), "lex"
         )
     if bad[0] == "\\":
         if bad[-1] == "]":
-            return _lex_error(f"unknown escape name {bad}", (start, end))
-        return _lex_error("malformed escape: missing ']'", (start, end))
+            return SourceError(f"unknown escape name {bad}", (start, end), "lex")
+        return SourceError("malformed escape: missing ']'", (start, end), "lex")
     if bad in (".", ".."):
-        return _lex_error("unexpected '.'", (start, start + 1))
+        return SourceError("unexpected '.'", (start, start + 1), "lex")
     if "." in bad:
-        return _lex_error("malformed number: more than one decimal point", (start, end))
+        return SourceError("malformed number: more than one decimal point", (start, end), "lex")
     if bad in "[]":
-        return _lex_error(
+        return SourceError(
             "square brackets are reserved; function application is not supported",
             (start, end),
+            "lex",
         )
-    return _lex_error(f"unsupported character {bad!r}", (start, end))
+    return SourceError(f"unsupported character {bad!r}", (start, end), "lex")
 
 
 def _too_long(span: Span) -> SourceError:
     # Only Python's int/str digit limit rejects [0-9.] text.
-    return _parse_error(
+    return SourceError(
         f"number is too long: Python converts at most {sys.get_int_max_str_digits()} digits",
         span,
+        "parse",
     )
 
 
@@ -169,7 +163,7 @@ def parse(input_text: str) -> Expr:
     """
     tokens = tokenize(input_text)
     if tokens[0].kind == END:
-        raise _parse_error("empty expression", (0, 0))
+        raise SourceError("empty expression", (0, 0), "parse")
     # One loop over the tokens. Each open parenthesis pushes the state of
     # the enclosing one: the sum's terms, the pending binary '-' of the
     # current term, the product's factors, whether a '/' is pending, the
@@ -203,9 +197,9 @@ def parse(input_text: str) -> Expr:
             minuses.append(span[0])
             continue
         elif kind == END:
-            raise _parse_error("unexpected end of input", span)
+            raise SourceError("unexpected end of input", span, "parse")
         else:
-            raise _parse_error(f"expected an expression, found {text!r}", span)
+            raise SourceError(f"expected an expression, found {text!r}", span, "parse")
 
         # Close everything the operand completes, up to the next operand.
         while True:
@@ -245,10 +239,11 @@ def parse(input_text: str) -> Expr:
             operand = make_sum(terms, (terms[0].span[0], terms[-1].span[1]))
             if not stack:
                 if kind != END:
-                    raise _parse_error(f"unexpected {text!r} after the expression", span)
+                    raise SourceError(f"unexpected {text!r} after the expression", span, "parse")
                 return operand
             if kind != RPAREN:
-                raise _parse_error("missing ')' for the parenthesis opened here", stack[-1][6])
+                opened = stack[-1][6]
+                raise SourceError("missing ')' for the parenthesis opened here", opened, "parse")
             pos += 1
             terms, neg, factors, div, minuses, bases, _ = stack.pop()
 

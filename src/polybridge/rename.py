@@ -1,16 +1,13 @@
-"""Identifier replacement maps, including the default Greek-to-ASCII table.
+"""Symbol renaming: the user's rules, else the default Greek-to-ASCII names.
 
-The defaults map every bare Greek letter to its English name (β -> beta,
-Ω -> Omega) and rename longer identifiers by replacing only the Greek
-head, inserting an underscore when the tail does not already start with
-one (γ_b -> gamma_b, Ωb -> Omega_b). User maps (file or inline) match
-whole identifiers only.
+User rules (from a rename file or inline) map whole identifiers, and a later
+rule for a symbol replaces an earlier one. The defaults map every bare Greek
+letter to its English name (β -> beta, Ω -> Omega) and rename longer
+identifiers by replacing only the Greek head, inserting an underscore when
+the tail does not already start with one (γ_b -> gamma_b, Ωb -> Omega_b).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from .expr import Expr, SymbolRef, substitute, symbols_of
 from .greek import LETTER_TO_NAME
@@ -33,41 +30,18 @@ class RenameError(ValueError):
     """A rename file or inline rule is malformed."""
 
 
-@dataclass(frozen=True)
-class RenameSpec:
-    """An ordered batch of identifier renames from one source."""
-
-    entries: tuple[tuple[str, str], ...]
-    source: str  # "defaults" | "file" | "inline"
-
-    @cached_property
-    def _exact(self) -> dict[str, str]:
-        """The entries as a whole-identifier lookup, built on first use."""
-        return dict(self.entries)
+def _greek_name(symbol: str) -> str | None:
+    """The default name of a symbol with a Greek head, or None."""
+    name = LETTER_TO_NAME.get(symbol[:1])
+    tail = symbol[1:]
+    if name is None or not tail:
+        return name
+    return name + ("" if tail.startswith("_") else "_") + tail
 
 
-_DEFAULT_GREEK = RenameSpec(tuple(sorted(LETTER_TO_NAME.items())), "defaults")
-
-
-def default_greek_map() -> RenameSpec:
-    return _DEFAULT_GREEK
-
-
-def _target_for(spec: RenameSpec, symbol: str) -> str | None:
-    hit = spec._exact.get(symbol)
-    if hit is not None:
-        return hit
-    if spec.source == "defaults" and len(symbol) > 1:
-        head, tail = symbol[0], symbol[1:]
-        name = LETTER_TO_NAME.get(head)
-        if name is not None:
-            sep = "" if tail.startswith("_") else "_"
-            return name + sep + tail
-    return None
-
-
-def resolve_renames(symbols: set[str], specs: tuple[RenameSpec, ...]) -> dict[str, str]:
-    """Effective symbol-to-symbol map; later specs override earlier ones.
+def resolve_renames(symbols: set[str], rules: dict[str, str], greek: bool) -> dict[str, str]:
+    """Effective symbol-to-symbol map: a symbol's rule in `rules`, else its
+    Greek default name if `greek` is set, else the symbol itself.
 
     Raises RenameCollision if two distinct symbols end up with the same
     target (identity mappings count: renaming β to beta while a symbol
@@ -75,12 +49,10 @@ def resolve_renames(symbols: set[str], specs: tuple[RenameSpec, ...]) -> dict[st
     """
     mapping: dict[str, str] = {}
     for symbol in sorted(symbols):
-        target = symbol
-        for spec in specs:
-            hit = _target_for(spec, symbol)
-            if hit is not None:
-                target = hit
-        mapping[symbol] = target
+        target = rules.get(symbol)
+        if target is None and greek:
+            target = _greek_name(symbol)
+        mapping[symbol] = target or symbol
 
     by_target: dict[str, list[str]] = {}
     for source, target in mapping.items():
@@ -91,11 +63,11 @@ def resolve_renames(symbols: set[str], specs: tuple[RenameSpec, ...]) -> dict[st
     return mapping
 
 
-def apply_renames(e: Expr, *specs: RenameSpec) -> Expr:
-    """Rename every matching symbol in one simultaneous pass."""
-    mapping = resolve_renames(symbols_of(e), specs)
-    rules = {s: SymbolRef(t) for s, t in mapping.items() if s != t}
-    return substitute(e, rules)
+def apply_renames(e: Expr, rules: dict[str, str], greek: bool) -> Expr:
+    """Rename every symbol as `resolve_renames` maps it, in one simultaneous pass."""
+    mapping = resolve_renames(symbols_of(e), rules, greek)
+    targets = {s: SymbolRef(t) for s, t in mapping.items() if s != t}
+    return substitute(e, targets)
 
 
 def parse_rename_entry(text: str) -> tuple[str, str]:
@@ -114,14 +86,9 @@ def parse_rename_entry(text: str) -> tuple[str, str]:
     return source, target
 
 
-def inline_rename_spec(rule: str) -> RenameSpec:
-    return RenameSpec((parse_rename_entry(rule),), "inline")
-
-
-def parse_rename_file(text: str) -> RenameSpec:
+def parse_rename_file(text: str) -> dict[str, str]:
     """Parse a rename file: one `from=to` per line, `#` comments allowed."""
-    entries: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    rules: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -130,14 +97,13 @@ def parse_rename_file(text: str) -> RenameSpec:
             source, target = parse_rename_entry(line)
         except RenameError as err:
             raise RenameError(f"line {lineno}: {err}") from None
-        if source in seen:
+        if source in rules:
             raise RenameError(f"line {lineno}: duplicate rename for {source!r}")
-        seen.add(source)
-        entries.append((source, target))
-    return RenameSpec(tuple(entries), "file")
+        rules[source] = target
+    return rules
 
 
-def load_rename_file(path: str) -> RenameSpec:
+def load_rename_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_rename_file(fh.read())

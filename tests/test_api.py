@@ -9,14 +9,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "AlgebraError",
-    "EmitConfig",
     "RenameCollision",
     "RenameError",
     "SourceError",
     "apply_renames",
-    "coefficient_of",
     "collect_main_var",
-    "degree_in",
     "emit_coeff_script",
     "emit_coeff_vector",
     "emit_expr",

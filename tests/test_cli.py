@@ -463,6 +463,12 @@ class TestRunApi:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_array_name_is_checked_before_input_is_read(self, tmp_path, capsys):
+        options = CliOptions(input=str(tmp_path / "missing.txt"), array_name="end")
+        assert run(options) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: array name 'end' is a Matlab keyword\n")
+
     def test_run_accepts_escaped_main_variable(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("β^2+1"))
         assert run(CliOptions(main_var="\\[Beta]", format="vector")) == 0

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybridge import (
-    EmitConfig,
     apply_renames,
     collect_main_var,
     emit_coeff_script,
@@ -18,7 +17,6 @@ from polybridge import (
 )
 from polybridge.algebra import AlgebraError, MainVarPoly
 from polybridge.parser import DECIMAL, IDENTIFIER, INTEGER, LPAREN, RPAREN, tokenize
-from polybridge.rename import default_greek_map
 
 from genlib import (
     canonical_of,
@@ -96,49 +94,63 @@ class TestEmitExpr:
 class TestEmitScript:
     def test_reference_ordering(self):
         p = collect_main_var(parse("c2*x^2+c1*x+c0"), "x")
-        assert emit_coeff_script(p, EmitConfig()) == "P(1)=c2;\nP(2)=c1;\nP(3)=c0;\n"
+        assert emit_coeff_script(p) == "P(1)=c2;\nP(2)=c1;\nP(3)=c0;\n"
 
     def test_degree_zero(self):
         p = collect_main_var(parse("7"), "x")
-        assert emit_coeff_script(p, EmitConfig()) == "P(1)=7;\n"
+        assert emit_coeff_script(p) == "P(1)=7;\n"
 
     def test_expansion_with_custom_name(self):
         # oracle: (x+1)*(x+2) = x^2 + 3*x + 2
         p = collect_main_var(parse("(x+1)*(x+2)"), "x")
-        cfg = EmitConfig(array_name="Q")
-        assert emit_coeff_script(p, cfg) == "Q(1)=1;\nQ(2)=3;\nQ(3)=2;\n"
+        assert emit_coeff_script(p, "Q") == "Q(1)=1;\nQ(2)=3;\nQ(3)=2;\n"
 
     def test_first_line_is_leading_coefficient(self):
         p = collect_main_var(parse("a*x^3 - b"), "x")
-        script = emit_coeff_script(p, EmitConfig())
+        script = emit_coeff_script(p)
         first = script.splitlines()[0]
         assert first == f"P(1)={emit_expr(p.coeffs[p.degree])};"
 
     def test_gap_powers_emit_zero(self):
         p = collect_main_var(parse("x^2+1"), "x")
-        assert emit_coeff_script(p, EmitConfig()) == "P(1)=1;\nP(2)=0;\nP(3)=1;\n"
+        assert emit_coeff_script(p) == "P(1)=1;\nP(2)=0;\nP(3)=1;\n"
 
 
 class TestEmitVector:
     def test_descending_order(self):
         p = collect_main_var(parse("c2*x^2+c1*x+c0"), "x")
-        assert emit_coeff_vector(p, EmitConfig()) == "P=[c2, c1, c0];"
+        assert emit_coeff_vector(p) == "P=[c2, c1, c0];"
 
     def test_zero_polynomial(self):
         p = collect_main_var(parse("x-x"), "x")
-        assert emit_coeff_vector(p, EmitConfig()) == "P=[0];"
+        assert emit_coeff_vector(p) == "P=[0];"
 
     def test_rational_entries(self):
         p = collect_main_var(parse("x/2+1/3"), "x")
-        assert emit_coeff_vector(p, EmitConfig()) == "P=[1/2, 1/3];"
+        assert emit_coeff_vector(p) == "P=[1/2, 1/3];"
 
 
-class TestEmitConfig:
-    def test_rejects_bad_array_name(self):
-        with pytest.raises(ValueError):
-            EmitConfig(array_name="2P")
-        with pytest.raises(ValueError):
-            EmitConfig(array_name="Ω")
+class TestArrayName:
+    @pytest.mark.parametrize(
+        "fmt, emit",
+        [("script", emit_coeff_script), ("vector", emit_coeff_vector)],
+        ids=["script", "vector"],
+    )
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("9P", "array name '9P' is not an ASCII identifier"),
+            ("Ω", "array name 'Ω' is not an ASCII identifier"),
+            ("end", "array name 'end' is a Matlab keyword"),
+        ],
+        ids=["digit-first", "non-ascii", "keyword"],
+    )
+    def test_both_layers_refuse_bad_names(self, fmt, emit, name, message):
+        p = collect_main_var(parse("x"), "x")
+        with pytest.raises(ValueError) as info:
+            emit(p, name)
+        assert str(info.value) == message
+        assert run_cli("x", format=fmt, array_name=name) == (4, "", f"error: {message}\n")
 
 
 HINT = " (add --rename rules or use --format expr)"
@@ -165,24 +177,24 @@ class TestMatlabReadableSymbols:
     )
     def test_refused_in_both_formats(self, emit, text, message):
         with pytest.raises(ValueError) as info:
-            emit(collect_main_var(parse(text), "x"), EmitConfig())
+            emit(collect_main_var(parse(text), "x"))
         assert str(info.value) == message
 
     def test_script_refuses_the_array_name(self):
         # `P(1)=1;` would overwrite the parameter that `P(2)=P;` reads.
         p = collect_main_var(parse("x^2+P*x"), "x")
         with pytest.raises(ValueError) as info:
-            emit_coeff_script(p, EmitConfig())
+            emit_coeff_script(p)
         assert str(info.value) == CLASH
-        assert emit_coeff_script(p, EmitConfig("Q")) == "Q(1)=1;\nQ(2)=P;\nQ(3)=0;\n"
+        assert emit_coeff_script(p, "Q") == "Q(1)=1;\nQ(2)=P;\nQ(3)=0;\n"
 
     def test_vector_reads_the_array_name_before_it_assigns(self):
         p = collect_main_var(parse("x^2+P*x"), "x")
-        assert emit_coeff_vector(p, EmitConfig()) == "P=[1, P, 0];"
+        assert emit_coeff_vector(p) == "P=[1, P, 0];"
 
     def test_main_variable_and_expr_format_are_not_checked(self):
         p = collect_main_var(parse("end^2+a"), "end")
-        assert emit_coeff_script(p, EmitConfig()) == "P(1)=1;\nP(2)=0;\nP(3)=a;\n"
+        assert emit_coeff_script(p) == "P(1)=1;\nP(2)=0;\nP(3)=a;\n"
         assert emit_of("end*β+P") == "P+end*β"
 
 
@@ -197,7 +209,7 @@ class TestCliRefusesWhatTheLibraryRefuses:
         for _ in range(150):
             text = fully_parenthesized(rand_expr_tree(rng, 3, names))
             for greek in (True, False):
-                tree = apply_renames(parse(text), *([default_greek_map()] if greek else []))
+                tree = apply_renames(parse(text), {}, greek)
                 try:
                     p = collect_main_var(tree, "x")
                 except AlgebraError:
@@ -205,7 +217,7 @@ class TestCliRefusesWhatTheLibraryRefuses:
                 p = MainVarPoly(p.main_var, tuple(simplify(c) for c in p.coeffs))
                 for (fmt, emit, end), name in product(formats, ("P", "Q")):
                     try:
-                        want = (0, emit(p, EmitConfig(name)) + end, "")
+                        want = (0, emit(p, name) + end, "")
                     except ValueError as err:
                         want = (4, "", f"error: {err}\n")
                         refusals += 1

@@ -3,7 +3,6 @@ from random import Random
 import pytest
 
 from polybridge import (
-    EmitConfig,
     RenameCollision,
     RenameError,
     apply_renames,
@@ -11,13 +10,8 @@ from polybridge import (
     emit_coeff_vector,
     parse,
 )
-from polybridge.rename import (
-    RenameSpec,
-    default_greek_map,
-    inline_rename_spec,
-    parse_rename_file,
-    resolve_renames,
-)
+from polybridge.greek import LETTER_TO_NAME
+from polybridge.rename import parse_rename_entry, parse_rename_file, resolve_renames
 
 from polybridge.expr import symbols_of
 
@@ -26,7 +20,7 @@ from genlib import eval_at, eval_at_valid_point, flat_tree, rand_expr_tree, tree
 
 class TestDefaultGreekMap:
     def test_reference_letters(self):
-        table = dict(default_greek_map().entries)
+        table = resolve_renames({"β", "γ", "ω", "α", "Ω"}, {}, True)
         assert table["β"] == "beta"
         assert table["γ"] == "gamma"
         assert table["ω"] == "omega"
@@ -34,100 +28,86 @@ class TestDefaultGreekMap:
         assert table["Ω"] == "Omega"
 
     def test_full_alphabet_covered(self):
-        entries = default_greek_map().entries
-        assert len(entries) == 48
-        assert all(target.isascii() for _, target in entries)
-
-    def test_built_once_and_sorted(self):
-        # One module-level spec: repeated conversions do not re-sort the table.
-        spec = default_greek_map()
-        assert spec is default_greek_map()
-        assert spec.source == "defaults"
-        assert spec.entries == tuple(sorted(spec.entries))
+        table = resolve_renames(set(LETTER_TO_NAME), {}, True)
+        assert len(table) == 48
+        assert all(target.isascii() for target in table.values())
 
     def test_resolution_is_repeatable(self):
         symbols = {"β", "γ_b", "Ωb", "x"}
-        first = resolve_renames(symbols, (default_greek_map(),))
-        assert resolve_renames(symbols, (default_greek_map(),)) == first
+        first = resolve_renames(symbols, {}, True)
+        assert resolve_renames(symbols, {}, True) == first
         assert first == {"β": "beta", "γ_b": "gamma_b", "Ωb": "Omega_b", "x": "x"}
 
     def test_head_replacement_with_underscore_tail(self):
-        mapping = resolve_renames({"γ_b"}, (default_greek_map(),))
+        mapping = resolve_renames({"γ_b"}, {}, True)
         assert mapping["γ_b"] == "gamma_b"
 
     def test_head_replacement_inserts_underscore(self):
-        mapping = resolve_renames({"Ωb", "γb2"}, (default_greek_map(),))
+        mapping = resolve_renames({"Ωb", "γb2"}, {}, True)
         assert mapping["Ωb"] == "Omega_b"
         assert mapping["γb2"] == "gamma_b2"
 
     def test_ascii_symbols_untouched(self):
-        mapping = resolve_renames({"x", "c2"}, (default_greek_map(),))
+        mapping = resolve_renames({"x", "c2"}, {}, True)
         assert mapping == {"x": "x", "c2": "c2"}
 
 
 class TestApplyRenames:
     def test_defaults_on_reference_polynomial(self):
-        out = apply_renames(parse("β*x + γ"), default_greek_map())
+        out = apply_renames(parse("β*x + γ"), {}, True)
         assert out == parse("beta*x + gamma")
 
     def test_empty_spec_is_identity(self):
         e = parse("x")
-        assert apply_renames(e) is e
+        assert apply_renames(e, {}, False) is e
+        assert apply_renames(e, {}, True) is e
 
     def test_collision_with_existing_symbol(self):
         with pytest.raises(RenameCollision) as exc:
-            apply_renames(parse("β + beta"), default_greek_map())
+            apply_renames(parse("β + beta"), {}, True)
         assert exc.value.target == "beta"
         assert exc.value.sources == ("beta", "β")
 
     def test_collision_between_two_rules(self):
-        spec = RenameSpec((("a", "z"), ("b", "z")), "file")
         with pytest.raises(RenameCollision):
-            apply_renames(parse("a + b"), spec)
+            apply_renames(parse("a + b"), {"a": "z", "b": "z"}, False)
 
     def test_simultaneous_user_swap_is_not_a_collision(self):
-        spec = RenameSpec((("a", "b"), ("b", "a")), "file")
-        out = apply_renames(parse("a + 2*b"), spec)
+        out = apply_renames(parse("a + 2*b"), {"a": "b", "b": "a"}, False)
         assert out == parse("b + 2*a")
 
     def test_later_specs_override_earlier(self):
-        out = apply_renames(
-            parse("γ_b*x"),
-            default_greek_map(),
-            inline_rename_spec("γ_b=gb"),
-        )
+        out = apply_renames(parse("γ_b*x"), {"γ_b": "gb"}, True)
         assert out == parse("gb*x")
 
     def test_deep_chain(self):
         # Deep trees are compared with flat_tree: dataclass `==` recurses.
         n = 5000
         e = parse("-" * n + "β")
-        out = apply_renames(e, default_greek_map())
+        out = apply_renames(e, {}, True)
         assert symbols_of(out) == {"beta"}
         assert tree_depth(out) == n + 1
         assert flat_tree(out)[:-1] == flat_tree(e)[:-1]
 
     def test_idempotent(self):
-        spec = default_greek_map()
-        once = apply_renames(parse("β*x^2+γ_b*x+ω"), spec)
-        assert apply_renames(once, spec) == once
+        once = apply_renames(parse("β*x^2+γ_b*x+ω"), {}, True)
+        assert apply_renames(once, {}, True) == once
 
     def test_ascii_purity_after_defaults(self):
         e = parse("β*x^2 + γ_b*x + Ω")
-        out = apply_renames(e, default_greek_map())
+        out = apply_renames(e, {}, True)
         p = collect_main_var(out, "x")
-        text = emit_coeff_vector(p, EmitConfig())
+        text = emit_coeff_vector(p)
         assert text.isascii()
         assert "beta" in text and "gamma_b" in text and "Omega" in text
 
     def test_value_preserved(self):
         rng = Random(11)
-        spec = default_greek_map()
         names = ("β", "γ_b", "x")
         renamed_names = ("beta", "gamma_b", "x")
         for _ in range(30):
             tree = rand_expr_tree(rng, depth=3, names=names)
-            out = apply_renames(tree, spec)
+            out = apply_renames(tree, {}, True)
             point, direct = eval_at_valid_point(rng, tree, names)
             translated = {
                 new: point[old] for old, new in zip(names, renamed_names)
@@ -137,14 +117,13 @@ class TestApplyRenames:
 
 class TestRenameFiles:
     def test_file_format(self):
-        spec = parse_rename_file(
+        rules = parse_rename_file(
             "# physics parameters\n"
             "γ_b=gb\n"
             "\n"
             "Ω = OB\n"
         )
-        assert spec.source == "file"
-        assert spec.entries == (("γ_b", "gb"), ("Ω", "OB"))
+        assert rules == {"γ_b": "gb", "Ω": "OB"}
 
     def test_trailing_comment_rejected(self):
         # '#' after a rule is not a comment; it breaks the identifier rule
@@ -152,8 +131,7 @@ class TestRenameFiles:
             parse_rename_file("a=b # no\n")
 
     def test_escape_source_accepted(self):
-        spec = parse_rename_file("\\[Beta]=b0\n")
-        assert spec.entries == (("β", "b0"),)
+        assert parse_rename_file("\\[Beta]=b0\n") == {"β": "b0"}
 
     @pytest.mark.parametrize(
         "bad",
@@ -164,8 +142,6 @@ class TestRenameFiles:
             parse_rename_file(bad)
 
     def test_inline_spec(self):
-        spec = inline_rename_spec("ω=w")
-        assert spec.source == "inline"
-        assert spec.entries == (("ω", "w"),)
+        assert parse_rename_entry("ω=w") == ("ω", "w")
         with pytest.raises(RenameError):
-            inline_rename_spec("no-equals")
+            parse_rename_entry("no-equals")
