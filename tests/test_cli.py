@@ -184,7 +184,7 @@ class TestRenameOptions:
         code, out, err = invoke(monkeypatch, capsys, [], stdin="β*x + beta")
         assert code == 4
         assert out == ""
-        assert "beta" in err
+        assert err == "error: rename collision: 'beta', 'β' would all become 'beta'\n"
 
 
 class TestArrayNameClash:
@@ -403,18 +403,20 @@ class TestErrorContracts:
     def test_bad_rename_file_exits_4(self, tmp_path, monkeypatch, capsys):
         rules = tmp_path / "renames.txt"
         rules.write_text("nonsense line\n", encoding="utf-8")
-        code, out, _ = invoke(
+        code, out, err = invoke(
             monkeypatch, capsys, ["--rename-file", str(rules)], stdin="x"
         )
         assert code == 4
         assert out == ""
+        assert err == "error: line 1: rename rule 'nonsense line' is missing '='\n"
 
     def test_bad_inline_rename_exits_4(self, monkeypatch, capsys):
-        code, out, _ = invoke(
+        code, out, err = invoke(
             monkeypatch, capsys, ["--rename", "β=Ω"], stdin="x"
         )
         assert code == 4
         assert out == ""
+        assert err == "error: rename target 'Ω' is not an ASCII identifier\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -446,28 +448,50 @@ class TestRunApi:
         assert capsys.readouterr().out == "P=[beta, gamma];\n"
 
     @pytest.mark.parametrize(
-        "options",
+        "options, message",
         [
-            CliOptions(format="csv"),
-            CliOptions(array_name="9P"),
-            CliOptions(array_name="Ω"),
-            CliOptions(main_var="2x"),
-            CliOptions(simplify_level=2),
-            CliOptions(main_var="$"),
+            (CliOptions(format="csv"), "unknown format 'csv'"),
+            (CliOptions(array_name="9P"), "array name '9P' is not an ASCII identifier"),
+            (CliOptions(array_name="Ω"), "array name 'Ω' is not an ASCII identifier"),
+            (CliOptions(main_var="2x"), "main variable '2x' is not an identifier"),
+            (CliOptions(simplify_level=2), "simplify level must be 0 or 1, got 2"),
+            (CliOptions(main_var="$"), "main variable '$' is not an identifier"),
         ],
+        ids=[f"options{i}" for i in range(6)],
     )
-    def test_run_rejects_bad_options(self, options, monkeypatch, capsys):
+    def test_run_rejects_bad_options(self, options, message, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("x"))
         assert run(options) == 4
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_array_name_is_checked_before_input_is_read(self, tmp_path, capsys):
         options = CliOptions(input=str(tmp_path / "missing.txt"), array_name="end")
         assert run(options) == 4
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: array name 'end' is a Matlab keyword\n")
+
+    @pytest.mark.parametrize(
+        "stage, fmt",
+        [
+            ("parse", "script"),
+            ("apply_renames", "script"),
+            ("collect_main_var", "script"),
+            ("normalize", "expr"),
+            ("simplify", "vector"),
+        ],
+    )
+    def test_value_error_in_a_stage_escapes(self, stage, fmt, monkeypatch, capsys):
+        # Only the emitter's ValueError is a refusal (exit 4); from any other
+        # stage it is a bug, and must not be reported as the user's fault.
+        def broken(*args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(f"polybridge.cli.{stage}", broken)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x+1"))
+        with pytest.raises(ValueError, match="^a bug$"):
+            run(CliOptions(format=fmt))
+        assert capsys.readouterr() == ("", "")
 
     def test_run_accepts_escaped_main_variable(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("β^2+1"))
@@ -503,14 +527,13 @@ class TestInvalidUtf8:
         code, out, err = invoke(monkeypatch, capsys, [], stdin="x+\udcff")
         assert code == 4
         assert out == ""
-        assert err.startswith("error:") and "UTF-8" in err
+        assert err == "error: cannot read '-': not valid UTF-8\n"
 
     def test_undecodable_stdin_process(self):
         proc = run_module([], b"x+\xff")
         assert proc.returncode == 4
         assert proc.stdout == b""
-        assert proc.stderr.startswith(b"error:")
-        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b"error: cannot read '-': not valid UTF-8\n"
 
     def test_undecodable_input_file_exits_4(self, tmp_path, capsys):
         src = tmp_path / "poly.txt"
@@ -519,7 +542,7 @@ class TestInvalidUtf8:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "UTF-8" in captured.err
+        assert captured.err == f"error: cannot read {str(src)!r}: not valid UTF-8\n"
 
     def test_undecodable_rename_file_exits_4(self, tmp_path, monkeypatch, capsys):
         rules = tmp_path / "renames.txt"
@@ -527,7 +550,7 @@ class TestInvalidUtf8:
         code, out, err = invoke(monkeypatch, capsys, ["--rename-file", str(rules)], stdin="x")
         assert code == 4
         assert out == ""
-        assert err.startswith("error:") and "UTF-8" in err
+        assert err == f"error: rename file {str(rules)!r} is not valid UTF-8\n"
 
 
 class TestMainVariableRenamed:
