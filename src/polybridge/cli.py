@@ -1,12 +1,12 @@
 """Command-line front end: parse, rename, collect, simplify, emit.
 
-Exit codes: 0 success; 2 lex/parse error; 3 the input is not a polynomial
-in the main variable (or has a symbolic exponent / zero denominator, is
-nested too deeply, or raises a constant or a sum to a power beyond
-`algebra.MAX_DEGREE`); 4 rename collisions, bad options, I/O failures, or
-symbols that the script or vector emitter refuses because Matlab would
-misread them. Diagnostics go to stderr only; stdout (or the output file)
-receives either the complete result or nothing.
+Exit codes: 0 success; 2 `SourceError` (lex/parse); 3 `AlgebraError`: not a
+polynomial in the main variable (or a symbolic exponent / zero denominator,
+nesting too deep, or a constant or sum raised beyond `algebra.MAX_DEGREE`);
+4 `RenameError` (collisions too), bad options, I/O failures, or symbols the
+script or vector emitter refuses because Matlab would misread them. Each
+error is worded where it is raised and printed as one stderr line; stdout
+(or the output file) receives either the complete result or nothing.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import os
 import stat
 import sys
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -38,7 +38,6 @@ from .emitter import (
 )
 from .parser import SourceError, parse, parse_identifier
 from .rename import (
-    RenameCollision,
     RenameError,
     apply_renames,
     load_rename_file,
@@ -66,20 +65,24 @@ class CliOptions:
     show_time: bool = False
 
 
-def _line_column(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a span's character offset into `text`."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+class _Refusal(Exception):
+    """A refusal that exits 4, worded where it is raised."""
 
 
 def _read_input(source: str) -> str:
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    # A stdin that decodes with surrogateescape turns invalid bytes into
-    # lone surrogates instead of failing; strict encoding refuses them.
-    text.encode("utf-8")
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        # A stdin that decodes with surrogateescape turns invalid bytes into
+        # lone surrogates instead of failing; strict encoding refuses them.
+        text.encode("utf-8")
+    except OSError as err:
+        raise _Refusal(f"cannot read {source!r}: {err.strerror or err}") from None
+    except UnicodeError:
+        raise _Refusal(f"cannot read {source!r}: not valid UTF-8") from None
     return text
 
 
@@ -91,14 +94,24 @@ def _strip_statement_terminator(text: str) -> str:
     return stripped
 
 
+def _emitted(emit: Callable, *args):
+    """Call an emitter function; the ValueError it raises on a name Matlab
+    would misread is a refusal. No other stage's ValueError is caught."""
+    try:
+        return emit(*args)
+    except ValueError as err:
+        raise _Refusal(err) from None
+
+
 def run(options: CliOptions) -> int:
     """Execute the full pipeline; returns the process exit code.
 
     Options are validated before any input is read; the array name, by the
-    emitter's own check, only in the script and vector formats. A symbol the
-    emitter refuses exits 4. A stage fails only by the errors caught here;
-    input nested too deeply for the algebra is an AlgebraError (exit 3).
-    The simplify stage runs only at simplify level 1.
+    emitter's own check, only in the script and vector formats. One handler
+    per exit code: SourceError exits 2, AlgebraError 3 (also for input nested
+    too deeply), RenameError and the refusals of an option, a file or an
+    emitted symbol 4. Any other exception is a bug and escapes. The simplify
+    stage runs only at simplify level 1.
     """
     diag = sys.stderr
 
@@ -111,46 +124,22 @@ def run(options: CliOptions) -> int:
 
     try:
         if options.format not in FORMATS:
-            raise ValueError(f"unknown format {options.format!r}")
+            raise _Refusal(f"unknown format {options.format!r}")
         if options.format != FORMAT_EXPR:
-            check_array_name(options.array_name)
+            _emitted(check_array_name, options.array_name)
         if options.simplify_level not in (0, 1):
-            raise ValueError(f"simplify level must be 0 or 1, got {options.simplify_level!r}")
+            raise _Refusal(f"simplify level must be 0 or 1, got {options.simplify_level!r}")
         main_var = parse_identifier(options.main_var)
         if main_var is None:
-            raise ValueError(f"main variable {options.main_var!r} is not an identifier")
-    except ValueError as err:
-        print(f"error: {err}", file=diag)
-        return EXIT_USAGE
-
-    try:
+            raise _Refusal(f"main variable {options.main_var!r} is not an identifier")
         text = _strip_statement_terminator(_read_input(options.input))
-    except OSError as err:
-        print(f"error: cannot read {options.input!r}: {err.strerror or err}", file=diag)
-        return EXIT_USAGE
-    except UnicodeError:
-        print(f"error: cannot read {options.input!r}: not valid UTF-8", file=diag)
-        return EXIT_USAGE
-
-    try:
         tree = stage("parse", lambda: parse(text))
-    except SourceError as err:
-        line, column = _line_column(text, err.span[0])
-        print(f"{err.kind} error at {line}:{column}: {err.message}", file=diag)
-        return EXIT_SYNTAX
-
-    try:
         # The file's rules, then each inline rule: a later rule for a symbol wins.
         rules = {} if options.rename_file is None else load_rename_file(options.rename_file)
         rules.update(parse_rename_entry(rule) for rule in options.inline_renames)
         renamed = stage("rename", lambda: apply_renames(tree, rules, options.greek_defaults))
-    except (RenameError, RenameCollision) as err:
-        print(f"error: {err}", file=diag)
-        return EXIT_USAGE
-    # The main variable is renamed by the same rules as the tree's symbols.
-    main_var = resolve_renames({main_var}, rules, options.greek_defaults)[main_var]
-
-    try:
+        # The main variable is renamed by the same rules as the tree's symbols.
+        main_var = resolve_renames({main_var}, rules, options.greek_defaults)[main_var]
         if options.format == FORMAT_EXPR:
             value = stage("normalize", lambda: normalize(renamed))
             if options.simplify_level:
@@ -169,34 +158,26 @@ def run(options: CliOptions) -> int:
                     ),
                 )
             name = options.array_name
-            try:
-                if options.format == FORMAT_SCRIPT:
-                    output = stage("emit", lambda: emit_coeff_script(collected, name))
-                else:
-                    output = stage("emit", lambda: emit_coeff_vector(collected, name) + "\n")
-            except ValueError as err:  # a symbol Matlab would misread
-                print(f"error: {err}", file=diag)
-                return EXIT_USAGE
-    except AlgebraError as err:
-        location = ""
-        if err.span is not None:
-            line, column = _line_column(text, err.span[0])
-            location = f" at {line}:{column}"
-        print(f"error{location}: {err}", file=diag)
-        return EXIT_NOT_POLYNOMIAL
-
-    try:
+            if options.format == FORMAT_SCRIPT:
+                output = stage("emit", lambda: _emitted(emit_coeff_script, collected, name))
+            else:
+                output = stage("emit", lambda: _emitted(emit_coeff_vector, collected, name) + "\n")
         stage("write", lambda: _write_output(options.output, output))
-    except OSError as err:
-        target = "to stdout" if options.output is None else repr(options.output)
-        print(f"error: cannot write {target}: {err.strerror or err}", file=diag)
-        if options.output is None and sys.stdout is sys.__stdout__:
-            # Python flushes stdout again at exit: drop what the write left.
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+        return EXIT_OK
+    except SourceError as err:
+        code, head, failure = EXIT_SYNTAX, f"{err.kind} error", err
+    except AlgebraError as err:
+        code, head, failure = EXIT_NOT_POLYNOMIAL, "error", err
+    except (RenameError, _Refusal) as err:
+        print(f"error: {err}", file=diag)
         return EXIT_USAGE
-    return EXIT_OK
+    if failure.span is not None:
+        # The 1-based line and column of the span's first character in `text`.
+        offset = failure.span[0]
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        head += f" at {line}:{column}"
+    print(f"{head}: {failure}", file=diag)
+    return code
 
 
 def _write_output(destination: str | None, output: str) -> None:
@@ -208,37 +189,46 @@ def _write_output(destination: str | None, output: str) -> None:
     not its owner, ACLs or hard links. Anything else (a device, a pipe, a path
     ending in a separator, a file in an unwritable directory) is written in
     place by `open(destination, "w")`. As with `open`, symlinks are followed
-    and an unwritable target is refused.
+    and an unwritable target is refused, as is every failed write.
     """
-    if destination is None:
-        sys.stdout.write(output)
-        sys.stdout.flush()
-        return
     try:
-        st = os.stat(destination)
-    except FileNotFoundError:
-        st = None
-    target = os.path.realpath(destination)
-    in_place = not os.path.basename(destination) or (st and not stat.S_ISREG(st.st_mode))
-    if in_place or not os.access(os.path.dirname(target), os.W_OK):
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(output)
-        return
-    if st is not None and not os.access(target, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), destination)
-    temp = f"{target}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(output)
-            fh.flush()
-            os.fsync(fh.fileno())
-        if st is not None:
-            os.chmod(temp, stat.S_IMODE(st.st_mode) & 0o777)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
+        if destination is None:
+            sys.stdout.write(output)
+            sys.stdout.flush()
+            return
+        try:
+            st = os.stat(destination)
+        except FileNotFoundError:
+            st = None
+        target = os.path.realpath(destination)
+        in_place = not os.path.basename(destination) or (st and not stat.S_ISREG(st.st_mode))
+        if in_place or not os.access(os.path.dirname(target), os.W_OK):
+            with open(destination, "w", encoding="utf-8") as fh:
+                fh.write(output)
+            return
+        if st is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), destination)
+        temp = f"{target}.{os.urandom(4).hex()}.tmp"
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(output)
+                fh.flush()
+                os.fsync(fh.fileno())
+            if st is not None:
+                os.chmod(temp, stat.S_IMODE(st.st_mode) & 0o777)
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as err:
+        if destination is None and sys.stdout is sys.__stdout__:
+            # Python flushes stdout again at exit: drop what the write left.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        target = "to stdout" if destination is None else repr(destination)
+        raise _Refusal(f"cannot write {target}: {err.strerror or err}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):

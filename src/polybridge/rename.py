@@ -14,7 +14,11 @@ from .greek import LETTER_TO_NAME
 from .parser import is_ascii_identifier, parse_identifier
 
 
-class RenameCollision(Exception):
+class RenameError(ValueError):
+    """A rename file or inline rule is malformed, or renaming would merge symbols."""
+
+
+class RenameCollision(RenameError):
     """Two distinct symbols would merge into one target identifier."""
 
     def __init__(self, target: str, sources: tuple[str, ...]):
@@ -24,10 +28,6 @@ class RenameCollision(Exception):
         )
         self.target = target
         self.sources = sources
-
-
-class RenameError(ValueError):
-    """A rename file or inline rule is malformed."""
 
 
 def _greek_name(symbol: str) -> str | None:
