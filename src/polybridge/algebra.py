@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import gcd
 from operator import or_
-from typing import Iterable, Mapping
 
 from .expr import (
     Expr,

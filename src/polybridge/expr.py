@@ -10,9 +10,9 @@ works across differently sourced trees.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Mapping, Union
 
 Span = tuple[int, int]
 
@@ -85,7 +85,7 @@ class Quotient:
     span: Span | None = _span_field()
 
 
-Expr = Union[IntegerLit, RationalLit, SymbolRef, Sum, Product, Power, Quotient]
+Expr = IntegerLit | RationalLit | SymbolRef | Sum | Product | Power | Quotient
 
 
 def make_sum(terms: Iterable[Expr], span: Span | None = None) -> Expr:

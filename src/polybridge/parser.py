@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .expr import (
     Expr,
@@ -75,10 +75,7 @@ _TOKEN = re.compile(
 _PRIMARY_START = (INTEGER, DECIMAL, IDENTIFIER, LPAREN)
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    span: Span
+Token = namedtuple("Token", "kind text span")
 
 
 class SourceError(Exception):
@@ -93,7 +90,7 @@ class SourceError(Exception):
 
 def tokenize(text: str) -> list[Token]:
     """Lex text into tokens; spans are character offsets into `text`."""
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    # tuple.__new__ skips the namedtuple's Python-level __new__.
     new = tuple.__new__
     tokens: list[Token] = []
     append = tokens.append

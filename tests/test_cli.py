@@ -720,12 +720,18 @@ class TestContractFuzz:
 class TestModuleEntryPoint:
     def test_import_skips_fractions_and_decimal(self):
         # `fractions` imports `decimal`; the parser builds decimals from digits.
+        # No module imports `typing` at run time either. `-S` skips the site
+        # `.pth` files, which may load any of these before the package does.
         code = (
             "import sys, polybridge.cli; polybridge.cli.parse('0.5*x+1.25');"
-            " print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+            " print(sorted({'fractions', 'decimal', 'typing'} & set(sys.modules)))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, env=package_env(), timeout=60, text=True
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            env=package_env(),
+            timeout=60,
+            text=True,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
