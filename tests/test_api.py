@@ -1,9 +1,14 @@
 import contextlib
 import io
 import re
+import shlex
+import sys
 from pathlib import Path
 
+import pytest
+
 import polybridge
+from polybridge.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,6 +44,30 @@ def test_readme_library_snippet_prints_its_comments():
     # Each comment, in order, is one line the snippet prints.
     comments = re.findall(r"#\s*(.*)", snippet)
     assert out.getvalue().splitlines() == comments
+
+
+def readme_shell_examples() -> list[tuple[str, list[str], str]]:
+    """Each `$ echo '…' | polybridge ARGS` line of the README's `sh` blocks,
+    as (stdin, ARGS, the output lines shown below it up to a blank line)."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for command, shown in re.findall(r"^\$ (.*)\n((?:.+\n)*)", block, re.M):
+            stdin, args = re.fullmatch(r"echo '([^']*)' \| polybridge(.*)", command).groups()
+            examples.append((stdin + "\n", shlex.split(args), shown))
+    return examples
+
+
+SHELL_EXAMPLES = readme_shell_examples()
+
+
+@pytest.mark.parametrize(
+    "stdin, args, shown", SHELL_EXAMPLES, ids=[f"example{i}" for i in range(len(SHELL_EXAMPLES))]
+)
+def test_readme_shell_example_prints_what_it_shows(stdin, args, shown, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(args) == 0
+    assert capsys.readouterr() == (shown, "")
 
 
 def test_readme_lists_the_public_names():
