@@ -19,7 +19,6 @@ from .algebra import (
     simplify,
 )
 from .emitter import emit_coeff_script, emit_coeff_vector, emit_expr
-from .expr import substitute
 from .parser import SourceError, parse
 from .rename import RenameCollision, RenameError, apply_renames
 
@@ -38,5 +37,4 @@ __all__ = [
     "normalize",
     "parse",
     "simplify",
-    "substitute",
 ]

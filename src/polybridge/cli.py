@@ -31,6 +31,7 @@ from .emitter import (
     FORMAT_EXPR,
     FORMAT_SCRIPT,
     FORMATS,
+    Unreadable,
     check_array_name,
     emit_coeff_script,
     emit_coeff_vector,
@@ -94,30 +95,21 @@ def _strip_statement_terminator(text: str) -> str:
     return stripped
 
 
-def _emitted(emit: Callable, *args):
-    """Call an emitter function; the ValueError it raises on a name Matlab
-    would misread is a refusal. No other stage's ValueError is caught."""
-    try:
-        return emit(*args)
-    except ValueError as err:
-        raise _Refusal(err) from None
-
-
 def run(options: CliOptions) -> int:
     """Execute the full pipeline; returns the process exit code.
 
     Options are validated before any input is read; the array name, by the
     emitter's own check, only in the script and vector formats. One handler
     per exit code: SourceError exits 2, AlgebraError 3 (also for input nested
-    too deeply), RenameError and the refusals of an option, a file or an
-    emitted symbol 4. Any other exception is a bug and escapes. The simplify
-    stage runs only at simplify level 1.
+    too deeply), RenameError, the emitter's Unreadable and the refusals of an
+    option or a file 4. Any other exception, a plain ValueError included, is a
+    bug and escapes. The simplify stage runs only at simplify level 1.
     """
     diag = sys.stderr
 
-    def stage(name: str, fn: Callable):
+    def stage(name: str, fn: Callable, *args):
         start = time.perf_counter()
-        result = fn()
+        result = fn(*args)
         if options.show_time:
             print(f"{name}: {(time.perf_counter() - start) * 1000.0:.2f} ms", file=diag)
         return result
@@ -126,30 +118,30 @@ def run(options: CliOptions) -> int:
         if options.format not in FORMATS:
             raise _Refusal(f"unknown format {options.format!r}")
         if options.format != FORMAT_EXPR:
-            _emitted(check_array_name, options.array_name)
+            check_array_name(options.array_name)
         if options.simplify_level not in (0, 1):
             raise _Refusal(f"simplify level must be 0 or 1, got {options.simplify_level!r}")
         main_var = parse_identifier(options.main_var)
         if main_var is None:
             raise _Refusal(f"main variable {options.main_var!r} is not an identifier")
         text = _strip_statement_terminator(_read_input(options.input))
-        tree = stage("parse", lambda: parse(text))
+        tree = stage("parse", parse, text)
         # The file's rules, then each inline rule: a later rule for a symbol wins.
         rules = {} if options.rename_file is None else load_rename_file(options.rename_file)
         rules.update(parse_rename_entry(rule) for rule in options.inline_renames)
-        renamed = stage("rename", lambda: apply_renames(tree, rules, options.greek_defaults))
+        renamed = stage("rename", apply_renames, tree, rules, options.greek_defaults)
         # The main variable is renamed by the same rules as the tree's symbols.
         main_var = resolve_renames({main_var}, rules, options.greek_defaults)[main_var]
         if options.format == FORMAT_EXPR:
-            value = stage("normalize", lambda: normalize(renamed))
+            value = stage("normalize", normalize, renamed)
             if options.simplify_level:
-                value = stage("simplify", lambda: simplify(value))
-            output = stage("emit", lambda: emit_expr(value) + "\n")
+                value = stage("simplify", simplify, value)
+            output = stage("emit", emit_expr, value) + "\n"
             residue = ", ".join(sorted(s for s in value.numerator.symbols if not s.isascii()))
             if residue:
                 print(f"warning: output contains non-ASCII symbols: {residue}", file=diag)
         else:
-            collected = stage("collect", lambda: collect_main_var(renamed, main_var))
+            collected = stage("collect", collect_main_var, renamed, main_var)
             if options.simplify_level:
                 collected = stage(
                     "simplify",
@@ -157,18 +149,17 @@ def run(options: CliOptions) -> int:
                         collected.main_var, tuple(simplify(c) for c in collected.coeffs)
                     ),
                 )
-            name = options.array_name
             if options.format == FORMAT_SCRIPT:
-                output = stage("emit", lambda: _emitted(emit_coeff_script, collected, name))
+                output = stage("emit", emit_coeff_script, collected, options.array_name)
             else:
-                output = stage("emit", lambda: _emitted(emit_coeff_vector, collected, name) + "\n")
-        stage("write", lambda: _write_output(options.output, output))
+                output = stage("emit", emit_coeff_vector, collected, options.array_name) + "\n"
+        stage("write", _write_output, options.output, output)
         return EXIT_OK
     except SourceError as err:
         code, head, failure = EXIT_SYNTAX, f"{err.kind} error", err
     except AlgebraError as err:
         code, head, failure = EXIT_NOT_POLYNOMIAL, "error", err
-    except (RenameError, _Refusal) as err:
+    except (RenameError, Unreadable, _Refusal) as err:
         print(f"error: {err}", file=diag)
         return EXIT_USAGE
     if failure.span is not None:

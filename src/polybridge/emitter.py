@@ -29,13 +29,17 @@ MATLAB_KEYWORDS = frozenset(
 )
 
 
+class Unreadable(ValueError):
+    """An array name or coefficient symbol that Matlab would misread."""
+
+
 def check_array_name(name: str) -> None:
-    """Raise ValueError unless `name` is an ASCII identifier and not a Matlab
+    """Raise Unreadable unless `name` is an ASCII identifier and not a Matlab
     keyword, so it can name the script's or vector's array."""
     if not is_ascii_identifier(name):
-        raise ValueError(f"array name {name!r} is not an ASCII identifier")
+        raise Unreadable(f"array name {name!r} is not an ASCII identifier")
     if name in MATLAB_KEYWORDS:
-        raise ValueError(f"array name {name!r} is a Matlab keyword")
+        raise Unreadable(f"array name {name!r} is a Matlab keyword")
 
 
 def _monomial_text(key: int, fields: list[tuple[str, int]], mask: int) -> list[str]:
@@ -112,7 +116,7 @@ def emit_expr(r: RatFunc) -> str:
 
 
 def _refuse_unreadable(p: MainVarPoly, array_name: str | None) -> None:
-    """Raise ValueError on a coefficient symbol that is non-ASCII, a Matlab
+    """Raise Unreadable on a coefficient symbol that is non-ASCII, a Matlab
     keyword or `array_name`, in that order."""
     used = {s for c in p.coeffs for s in c.numerator.symbols}  # both sides share one table
     hint = "add --rename rules or use --format expr"
@@ -121,9 +125,9 @@ def _refuse_unreadable(p: MainVarPoly, array_name: str | None) -> None:
         ("symbols that are Matlab keywords", used & MATLAB_KEYWORDS),
     ):
         if names:
-            raise ValueError(f"{problem}: {', '.join(sorted(names))} ({hint})")
+            raise Unreadable(f"{problem}: {', '.join(sorted(names))} ({hint})")
     if array_name in used:
-        raise ValueError(
+        raise Unreadable(
             f"symbol '{array_name}' is also the array name, so the"
             " script would overwrite it (choose another --name or --rename it)"
         )
@@ -134,7 +138,7 @@ def emit_coeff_script(p: MainVarPoly, array_name: str = "P") -> str:
 
     Line j (1-based) is `<name>(<j>)=<coefficient of main_var^(degree+1-j)>;`
     so line 1 carries the leading coefficient and the last line the
-    constant term. Every line ends with a newline. Raises ValueError on a bad
+    constant term. Every line ends with a newline. Raises Unreadable on a bad
     array name (see `check_array_name`), then on a coefficient symbol that is
     non-ASCII, a Matlab keyword or the array name, which `P(1)=...;` would
     overwrite before a later line reads it.
@@ -148,7 +152,7 @@ def emit_coeff_script(p: MainVarPoly, array_name: str = "P") -> str:
 def emit_coeff_vector(p: MainVarPoly, array_name: str = "P") -> str:
     """Single-line coefficient vector in descending power order.
 
-    Raises ValueError on a bad array name (see `check_array_name`), then on a
+    Raises Unreadable on a bad array name (see `check_array_name`), then on a
     non-ASCII or Matlab-keyword coefficient symbol; a symbol named like the
     array is fine, as `P=[1, P, 0];` reads `P` before it assigns.
     """

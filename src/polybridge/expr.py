@@ -135,15 +135,15 @@ def symbols_of(e: Expr) -> set[str]:
     return out
 
 
-def substitute(e: Expr, rules: Mapping[str, Expr]) -> Expr:
-    """Replace symbols by mapped expressions, simultaneously, in one pass.
+def rename_symbols(e: Expr, names: Mapping[str, str]) -> Expr:
+    """Rename symbols by the `names` map, simultaneously, in one pass.
 
-    Rule outputs are never re-rewritten, so ``{x: y, y: x}`` swaps the two
-    symbols. Subtrees that contain no rule key are returned as-is, which
-    makes substitution with an empty map the identity (same object), and
-    rebuilt nodes keep their spans. An explicit stack reads any depth.
+    Targets are never renamed again, so ``{x: y, y: x}`` swaps the two
+    symbols. Renamed symbols and rebuilt nodes keep their spans; subtrees
+    with no renamed symbol are returned as-is, so an empty map is the
+    identity (same object). An explicit stack reads any depth.
     """
-    if not rules:
+    if not names:
         return e
     # Pre-order, operands pushed left to right: read backwards, every node
     # comes after its operands' results, which end `done` in operand order.
@@ -167,7 +167,7 @@ def substitute(e: Expr, rules: Mapping[str, Expr]) -> Expr:
     for node in reversed(order):
         t = type(node)
         if t is SymbolRef:
-            done.append(rules.get(node.name, node))
+            done.append(SymbolRef(names[node.name], node.span) if node.name in names else node)
         elif t is Product or t is Sum:
             old = node.factors if t is Product else node.terms
             new = tuple(done[-len(old) :])

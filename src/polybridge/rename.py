@@ -9,7 +9,7 @@ the tail does not already start with one (γ_b -> gamma_b, Ωb -> Omega_b).
 
 from __future__ import annotations
 
-from .expr import Expr, SymbolRef, substitute, symbols_of
+from .expr import Expr, rename_symbols, symbols_of
 from .greek import LETTER_TO_NAME
 from .parser import is_ascii_identifier, parse_identifier
 
@@ -66,8 +66,7 @@ def resolve_renames(symbols: set[str], rules: dict[str, str], greek: bool) -> di
 def apply_renames(e: Expr, rules: dict[str, str], greek: bool) -> Expr:
     """Rename every symbol as `resolve_renames` maps it, in one simultaneous pass."""
     mapping = resolve_renames(symbols_of(e), rules, greek)
-    targets = {s: SymbolRef(t) for s, t in mapping.items() if s != t}
-    return substitute(e, targets)
+    return rename_symbols(e, {s: t for s, t in mapping.items() if s != t})
 
 
 def parse_rename_entry(text: str) -> tuple[str, str]:

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "normalize",
     "parse",
     "simplify",
-    "substitute",
 ]
 
 

@@ -262,6 +262,18 @@ class TestErrorContracts:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "text, args, column",
+        [("x^β", [], 3), ("x^(β)", [], 4), ("x^b", ["--rename", "b=q"], 3)],
+        ids=["greek", "greek_parenthesized", "inline_rule"],
+    )
+    def test_renamed_symbolic_exponent_points_at_the_symbol(
+        self, text, args, column, monkeypatch, capsys
+    ):
+        code, out, err = invoke(monkeypatch, capsys, args, stdin=text)
+        assert (code, out) == (3, "")
+        assert err == f"error at 1:{column}: exponent does not normalize to an integer constant\n"
+
     def test_zero_denominator_exits_3(self, monkeypatch, capsys):
         code, out, _ = invoke(monkeypatch, capsys, [], stdin="1/(x-x)")
         assert code == 3
@@ -479,11 +491,15 @@ class TestRunApi:
             ("collect_main_var", "script"),
             ("normalize", "expr"),
             ("simplify", "vector"),
+            ("emit_coeff_script", "script"),
+            ("emit_coeff_vector", "vector"),
+            ("check_array_name", "script"),
         ],
     )
     def test_value_error_in_a_stage_escapes(self, stage, fmt, monkeypatch, capsys):
-        # Only the emitter's ValueError is a refusal (exit 4); from any other
-        # stage it is a bug, and must not be reported as the user's fault.
+        # Only the emitter's Unreadable is a refusal (exit 4); a plain
+        # ValueError from any stage, the emitter included, is a bug, and must
+        # not be reported as the user's fault.
         def broken(*args):
             raise ValueError("a bug")
 

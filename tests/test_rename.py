@@ -13,7 +13,7 @@ from polybridge import (
 from polybridge.greek import LETTER_TO_NAME
 from polybridge.rename import parse_rename_entry, parse_rename_file, resolve_renames
 
-from polybridge.expr import symbols_of
+from polybridge.expr import SymbolRef, symbols_of
 
 from genlib import eval_at, eval_at_valid_point, flat_tree, rand_expr_tree, tree_depth
 
@@ -75,6 +75,11 @@ class TestApplyRenames:
     def test_simultaneous_user_swap_is_not_a_collision(self):
         out = apply_renames(parse("a + 2*b"), {"a": "b", "b": "a"}, False)
         assert out == parse("b + 2*a")
+
+    def test_renamed_symbol_keeps_its_span(self):
+        out = apply_renames(parse("x^β"), {}, True)
+        assert out.exponent == SymbolRef("beta")
+        assert out.exponent.span == (2, 3)
 
     def test_later_specs_override_earlier(self):
         out = apply_renames(parse("γ_b*x"), {"γ_b": "gb"}, True)
